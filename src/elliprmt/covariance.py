@@ -28,16 +28,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScmBundle:
-    """Normalized SCM with its eigendecomposition (ascending eigenvalues)."""
+    """Normalized SCM with its eigendecomposition (ascending eigenvalues).
+
+    ``eigenvectors`` is None when the bundle was built with
+    ``vectors=False``; reading them then raises :class:`ConfigError`.
+    """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     normalization: float
 
     def __post_init__(self):
         for arr in (self.matrix, self.eigenvalues, self.eigenvectors):
-            arr.setflags(write=False)
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def p(self) -> int:
@@ -49,15 +54,25 @@ class ScmBundle:
 
     def top_eigenvectors(self, k: int) -> np.ndarray:
         """Columns: eigenvectors of the k largest eigenvalues, descending."""
-        return self.eigenvectors[:, ::-1][:, :k]
+        return _vectors(self)[:, ::-1][:, :k]
+
+
+def _vectors(bundle: ScmBundle) -> np.ndarray:
+    if bundle.eigenvectors is None:
+        raise ConfigError("this SCM bundle was built without eigenvectors "
+                          "(build_scm(..., vectors=False))")
+    return bundle.eigenvectors
 
 
 def build_scm(sample: EllipticalSample,
-              population: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> ScmBundle:
+              population: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+              *, vectors: bool = True) -> ScmBundle:
     """Form and eigendecompose the normalized SCM of one sample.
 
     ``population`` may carry a precomputed ``(Sigma, U0, D0)`` triple to
-    avoid re-realizing the population for every replicate.
+    avoid re-realizing the population for every replicate.  With
+    ``vectors=False`` only the eigenvalues are computed (``eigvalsh``), for
+    statistics that never read an eigenvector.
     """
     if population is None:
         population = build_population(sample.population)
@@ -69,7 +84,10 @@ def build_scm(sample: EllipticalSample,
     gx = gamma @ sample.data
     s = (scale / sample.n) * (gx @ gx.T)
     s = 0.5 * (s + s.T)
-    evals, evecs = np.linalg.eigh(s)
+    if vectors:
+        evals, evecs = np.linalg.eigh(s)
+    else:
+        evals, evecs = np.linalg.eigvalsh(s), None
     return ScmBundle(matrix=s, eigenvalues=evals, eigenvectors=evecs,
                      normalization=float(scale))
 
@@ -93,8 +111,9 @@ def bilinear_resolvent(bundle: ScmBundle, pi1: np.ndarray, pi2: np.ndarray,
         gap = float(np.min(np.abs(bundle.eigenvalues - z.real)))
         if gap < 1e-12 * max(1.0, float(np.max(np.abs(bundle.eigenvalues)))):
             raise PoleError(f"z={z.real} collides with the spectrum (gap {gap:.3e})")
-    q1 = bundle.eigenvectors.T @ pi1
-    q2 = bundle.eigenvectors.T @ pi2
+    evecs = _vectors(bundle)
+    q1 = evecs.T @ pi1
+    q2 = evecs.T @ pi2
     return complex(np.sum(q1 * q2 / (bundle.eigenvalues - z)))
 
 
@@ -127,7 +146,7 @@ def vesd(bundle: ScmBundle, pi: np.ndarray, grid: np.ndarray) -> Vesd:
     pi = np.asarray(pi, dtype=np.float64).ravel()
     if abs(np.linalg.norm(pi) - 1.0) > 1e-10:
         raise DomainError("pi must have unit norm")
-    q = bundle.eigenvectors.T @ pi
+    q = _vectors(bundle).T @ pi
     w = q ** 2
     idx = np.searchsorted(bundle.eigenvalues, grid, side="right")
     cum_w = np.concatenate([[0.0], np.cumsum(w)])

@@ -6,13 +6,20 @@ writes a per-experiment directory: ``records.csv`` (one row per replicate),
 ``summary.json`` (stats, standard errors, z-scores, checksum), and
 ``theory.json`` (matched predictions).  Identical config+seed gives
 byte-identical summaries at any worker count.
+
+While replicates run, numpy's OpenBLAS is pinned to one thread, so ``jobs``
+worker threads use ``jobs`` cores instead of each starting BLAS threads of
+its own; the caller's thread count is restored when the replicates end.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -292,19 +299,81 @@ def _jsonable(obj):
     return obj
 
 
+def _load_openblas():
+    """``(get, set)`` thread-count functions of the OpenBLAS behind
+    ``numpy.linalg``, or None when numpy uses another BLAS.
+
+    The symbols are looked up through numpy's own linalg extension, so they
+    resolve in the library numpy loaded, not in some other copy.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                           ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+_OPENBLAS = _load_openblas()
+# OpenBLAS keeps one thread count per process, so the pin's state is
+# module-wide: every caller thread of run_experiment shares it.
+_BLAS_LOCK = threading.Lock()
+_blas_depth = 0
+_blas_saved = None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread; restore the caller's count on exit.
+
+    Nested or concurrent uses share one pin: the first to enter saves the
+    count, the last to leave restores it.  Without OpenBLAS it does nothing.
+    """
+    global _blas_depth, _blas_saved
+    lib = _OPENBLAS
+    if lib is None:
+        yield
+        return
+    get, set_ = lib
+    with _BLAS_LOCK:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
+
+
 def _run_replicates(reps: int, jobs: int, worker, width: int):
-    """Execute replicate workers, reducing in replicate-index order."""
+    """Execute replicate workers, reducing in replicate-index order.
+
+    Each worker thread runs its linear algebra on one BLAS thread.
+    """
     def safe(r):
         try:
             return np.asarray(worker(r), dtype=np.float64)
         except Exception:
             return np.full(width, np.nan)
 
-    if jobs <= 1:
-        rows = [safe(r) for r in range(reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(safe, range(reps)))
+    with _one_blas_thread():
+        if jobs <= 1:
+            rows = [safe(r) for r in range(reps)]
+        else:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                rows = list(pool.map(safe, range(reps)))
     records = np.vstack(rows)
     failures = int(np.isnan(records).any(axis=1).sum())
     return records, failures
@@ -349,7 +418,7 @@ def run_spike_dist(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 
     def worker(r):
         sample = draw_sample(spec, law, cfg.n, replicate_seed(cfg.seed, r))
-        bundle = build_scm(sample, population=pop)
+        bundle = build_scm(sample, population=pop, vectors=False)
         return [bundle.eigenvalues[-1]]
 
     records, failures = _run_replicates(cfg.reps, jobs, worker, 1)

@@ -115,6 +115,12 @@ def sigma_delta_sq(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
     reduces to 2/(mu'(theta) theta^2) in the light-tail regime.
     """
     theta, _ = transition(c, h1_nonspiked, h2, alpha, edge=edge)
+    return _sigma_delta_sq_at(c, h1_nonspiked, h2, theta)
+
+
+def _sigma_delta_sq_at(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
+                       theta: float) -> float:
+    """sigma_Delta^2 at a spike location theta already found by ``transition``."""
     sol = solve_lsd_real(c, h1_nonspiked, h2, theta)
     der = derivatives(sol, c, h1_nonspiked, h2)
     term1 = 2.0 * der.zg2_p / (der.zmu_p * der.g2p * theta ** 2)
@@ -136,7 +142,7 @@ def predict_spike(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
     if edge is None:
         edge = _upper_edge(c, h1_nonspiked, h2)
     theta, g_prime = transition(c, h1_nonspiked, h2, alpha, edge=edge)
-    sdsq = sigma_delta_sq(c, h1_nonspiked, h2, alpha, edge=edge)
+    sdsq = _sigma_delta_sq_at(c, h1_nonspiked, h2, theta)
     light = h2.is_point_mass_at(1.0, tol=1e-12)
     return SpikePrediction(alpha=float(alpha), theta=theta, g_prime=g_prime,
                            sigma_delta_sq=sdsq,

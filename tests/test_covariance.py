@@ -73,6 +73,39 @@ def test_companion_spectrum_identity():
     assert np.allclose(np.sort(nonzero), np.sort(comp_nonzero), atol=1e-8)
 
 
+@pytest.mark.parametrize("kind,nu", [("two-point", 60.0 ** 2), ("gamma", 60.0)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eigenvalue_only_scm_matches_full(kind, nu, seed):
+    spec = PopulationSpec(p=60, spikes=(8.0,), bulk="uniform", bulk_seed=99,
+                          toeplitz_rho=0.9)
+    sample = draw_sample(spec, RadiusLaw(kind, p=60, nu_p=nu), 120, seed)
+    full = build_scm(sample)
+    only = build_scm(sample, vectors=False)
+    assert only.eigenvectors is None
+    assert np.array_equal(only.matrix, full.matrix)
+    lam1, ref = only.top_eigenvalues(1)[0], full.top_eigenvalues(1)[0]
+    assert abs(lam1 - ref) <= 1e-12 * ref
+    assert np.all(np.diff(only.eigenvalues) >= 0)
+
+
+def test_eigenvalue_only_scm_has_no_vectors():
+    sample = _identity_sample(10, 20, seed=3)
+    bundle = build_scm(sample, vectors=False)
+    pi = np.eye(10)[0]
+    with pytest.raises(ConfigError, match="without eigenvectors"):
+        bundle.top_eigenvectors(1)
+    with pytest.raises(ConfigError, match="without eigenvectors"):
+        bilinear_resolvent(bundle, pi, pi, 1j)
+    with pytest.raises(ConfigError, match="without eigenvectors"):
+        vesd(bundle, pi, np.linspace(0.0, 4.0, 5))
+    # a bundle assembled by hand may also omit them, and stays read-only
+    hand = ScmBundle(matrix=np.eye(3), eigenvalues=np.ones(3), eigenvectors=None,
+                     normalization=1.0)
+    assert not hand.eigenvalues.flags.writeable
+    with pytest.raises(ConfigError):
+        hand.top_eigenvectors(1)
+
+
 def test_zero_matrix_resolvent():
     p = 6
     bundle = ScmBundle(matrix=np.zeros((p, p)), eigenvalues=np.zeros(p),

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from elliprmt import experiments
 from elliprmt.errors import ConfigError
 from elliprmt.experiments import (EXPERIMENT_KINDS, ExperimentConfig,
-                                  _pi_pairs, _run_replicates, run_experiment)
+                                  _load_openblas, _one_blas_thread, _pi_pairs,
+                                  _run_replicates, run_experiment)
+
+OPENBLAS = _load_openblas()
+needs_openblas = pytest.mark.skipif(
+    OPENBLAS is None, reason="numpy's BLAS exports no OpenBLAS thread-count symbol")
 
 
 def spike_cfg(**over):
@@ -69,6 +77,93 @@ def test_run_replicates_collects_failures():
     assert failures == 1
     assert np.isnan(records[2, 0])
     assert records[4, 0] == 4.0
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """The caller runs OpenBLAS on 2 threads; its own count comes back after."""
+    get, set_ = OPENBLAS
+    before = get()
+    set_(2)
+    yield 2
+    set_(before)
+
+
+class _Abort(BaseException):
+    """Escapes the replicate engine's per-replicate failure handling."""
+
+
+@needs_openblas
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_workers_run_on_one_blas_thread(caller_blas_threads, jobs):
+    get, _ = OPENBLAS
+    records, failures = _run_replicates(8, jobs, lambda r: [get()], 1)
+    assert failures == 0
+    assert np.all(records == 1.0)
+    assert get() == caller_blas_threads
+
+
+@needs_openblas
+def test_blas_threads_restored_after_run(caller_blas_threads, monkeypatch):
+    get, _ = OPENBLAS
+    run_experiment(spike_cfg(reps=4), jobs=2)
+    assert get() == caller_blas_threads
+
+    def abort(*args, **kwargs):
+        raise _Abort
+
+    monkeypatch.setattr(experiments, "draw_sample", abort)
+    for jobs in (1, 2):
+        with pytest.raises(_Abort):
+            run_experiment(spike_cfg(reps=4), jobs=jobs)
+        assert get() == caller_blas_threads
+
+
+@needs_openblas
+def test_blas_pin_nests(caller_blas_threads):
+    get, _ = OPENBLAS
+    with _one_blas_thread():
+        with _one_blas_thread():
+            assert get() == 1
+        assert get() == 1          # the outer pin is still held
+    assert get() == caller_blas_threads
+
+
+@needs_openblas
+def test_blas_pin_shared_by_caller_threads(caller_blas_threads):
+    """Overlapping pins from more caller threads than cores: every one sees
+    one BLAS thread, and the caller's count returns once all have left."""
+    get, _ = OPENBLAS
+    seen = []
+
+    def caller():
+        for _ in range(200):
+            with _one_blas_thread():
+                seen.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 1200 and set(seen) == {1}
+    assert get() == caller_blas_threads
+
+
+@needs_openblas
+def test_blas_pin_without_library_does_nothing(caller_blas_threads, monkeypatch):
+    get, _ = OPENBLAS
+    monkeypatch.setattr(experiments, "_OPENBLAS", None)
+    with _one_blas_thread():
+        assert get() == caller_blas_threads
+    records, _ = _run_replicates(3, 2, lambda r: [get()], 1)
+    assert np.all(records == caller_blas_threads)
 
 
 def test_pi_pairs_forms():
