@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -74,11 +73,7 @@ def _cmd_lsd_solve(args) -> int:
     h1 = _parse_measure(args.h1)
     h2 = _parse_measure(args.h2)
     z = _parse_z(args.z)
-    try:
-        sol = solve_lsd(args.c, h1, h2, z, tol=args.tol, max_iter=args.max_iter)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    sol = solve_lsd(args.c, h1, h2, z, tol=args.tol, max_iter=args.max_iter)
     print(sol.to_json())
     return EXIT_OK
 
@@ -87,27 +82,7 @@ def _cmd_lsd_density(args) -> int:
     h1 = _parse_measure(args.h1)
     h2 = _parse_measure(args.h2)
     grid = _parse_grid(args.grid)
-    try:
-        law = stieltjes_invert(args.c, h1, h2, grid, eps=args.eps)
-        failures = []
-    except ConvergenceError:
-        # enumerate the failing grid points so the report is complete
-        density = np.full(grid.size, np.nan)
-        failures = []
-        for i, x in enumerate(grid):
-            try:
-                sol = solve_lsd(args.c, h1, h2, complex(x, args.eps))
-                density[i] = max(sol.m.imag / np.pi, 0.0)
-            except ConvergenceError:
-                failures.append(float(x))
-        from .lsd import InvertedLaw
-        dens = np.nan_to_num(density)
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
-                                               * np.diff(grid))])
-        law = InvertedLaw(grid=grid, density=density, cdf=cdf, zero_mass=0.0,
-                          total_mass=float(cdf[-1]))
-        for x in failures:
-            print(f"solver failed at x={x}", file=sys.stderr)
+    law = stieltjes_invert(args.c, h1, h2, grid, eps=args.eps)
     law.write_csv(args.out)
     try:
         edges = find_bulk_edges(args.c, h1, h2)
@@ -117,7 +92,7 @@ def _cmd_lsd_density(args) -> int:
     if law.zero_mass > 0:
         print(f"point mass at zero: {law.zero_mass!r}")
     print(f"wrote {args.out} (total mass {law.total_mass!r})")
-    return EXIT_NUMERIC if failures else EXIT_OK
+    return EXIT_OK
 
 
 def _cmd_spike_predict(args) -> int:
@@ -129,9 +104,6 @@ def _cmd_spike_predict(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"detectability threshold estimate: {exc.threshold!r}", file=sys.stderr)
         return EXIT_SUBCRITICAL
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     print(pred.to_json())
     return EXIT_OK
 
@@ -147,22 +119,9 @@ def _cmd_mc(args) -> int:
     elif "seed" not in raw and os.environ.get("ELLIPRMT_SEED"):
         raw["seed"] = int(os.environ["ELLIPRMT_SEED"])
     cfg = ExperimentConfig.from_dict(raw)
-    try:
-        result = run_experiment(cfg, jobs=args.jobs)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    result = run_experiment(cfg, jobs=args.jobs)
     outdir = args.out or f"{cfg.kind}-{cfg.seed}"
     result.write(outdir)
-    if args.dump_samples:
-        from .sampler import draw_sample, replicate_seed
-        spec = cfg.population_spec()
-        law = cfg.radius_law()
-        for r in range(min(args.dump_samples, cfg.reps)):
-            sample = draw_sample(spec, law, cfg.n, replicate_seed(cfg.seed, r))
-            with open(os.path.join(outdir, f"sample_{r:03d}.csv"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(sample.data_csv())
     print(json.dumps({"kind": cfg.kind, "outdir": outdir,
                       "failures": result.failures,
                       "records": int(result.records.shape[0])}))
@@ -254,8 +213,6 @@ def build_parser() -> _Parser:
     mc.add_argument("--seed", type=int, default=None)
     mc.add_argument("--jobs", type=int, default=1)
     mc.add_argument("--out", default=None)
-    mc.add_argument("--dump-samples", type=int, default=0, metavar="N",
-                    help="debug: also write the first N replicate datasets as CSV")
     mc.set_defaults(func=_cmd_mc)
 
     plot = sub.add_parser("plot", help="render experiment output as SVG")

@@ -1,11 +1,14 @@
 """Seeded Monte Carlo experiments validating every limit prediction.
 
-Each experiment draws independent replicates on disjoint RNG substreams
-derived from (seed, replicate index), reduces them in replicate order, and
-writes a per-experiment directory: ``records.csv`` (one row per replicate),
-``summary.json`` (stats, standard errors, z-scores, checksum), and
-``theory.json`` (matched predictions).  Identical config+seed gives
-byte-identical summaries at any worker count.
+One replicate engine runs every kind that samples elliptical data: it draws
+replicate r's sample from its own seed, ``replicate_seed(seed, r)`` unless
+the kind derives another, on a disjoint RNG substream.  Each kind supplies
+only its theory, the statistic it computes from one sample, and the
+reduction of those rows, which runs in replicate order.  Each experiment
+writes ``records.csv`` (one row per replicate), ``summary.json`` (stats,
+standard errors, z-scores, checksum) and ``theory.json`` (matched
+predictions); identical config+seed gives byte-identical summaries at any
+worker count.
 
 While replicates run, numpy's OpenBLAS is pinned to one thread, so ``jobs``
 worker threads use ``jobs`` cores instead of each starting BLAS threads of
@@ -26,10 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sstats
 
-from .covariance import build_scm, bilinear_resolvent, spiked_quadform, vesd
+from .covariance import build_scm, bilinear_resolvent, spiked_quadform
 from .errors import ConfigError
 from .kernels import (contour_moment, cov_m, cov_m_diagonal, default_contour,
-                      deterministic_equivalent, eigvec_stat_cov, kernels_diagonal)
+                      deterministic_equivalent, eigvec_stat_cov)
 from .lsd import find_bulk_edges, solve_lsd, solve_lsd_real, stieltjes_invert
 from .measures import DiscreteMeasure, RadiusLaw, radius_law_to_h2
 from .sampler import (PopulationSpec, build_population, draw_sample,
@@ -55,12 +58,8 @@ EXPERIMENT_KINDS = ("spike-dist", "eigvec-overlap", "bilinear-as", "bilinear-clt
                     "vesd", "quadform-oracle", "goe-entries")
 NU_RULES = ("0", "sqrt_p", "p", "p^2", "2p")
 
-# z-window treated as safely outside the spectrum's influence zone; recorded
-# in outputs so downstream thresholds can reference it.
-ZONE_DELTA = 0.05
-
 _CONFIG_KEYS = {"kind", "p", "n", "reps", "seed", "radius", "population",
-                "z_points", "grid", "pi", "z_real", "draws_per_rep", "thresholds"}
+                "z_points", "grid", "pi", "z_real", "draws_per_rep"}
 _RADIUS_KEYS = {"kind", "nu_rule"}
 _POPULATION_KEYS = {"spikes", "bulk", "toeplitz_rho", "separation"}
 
@@ -91,7 +90,6 @@ class ExperimentConfig:
     pi: object = "e1"
     z_real: float | None = None
     draws_per_rep: int = 20_000
-    thresholds: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -140,7 +138,6 @@ class ExperimentConfig:
             "grid": list(self.grid),
             "pi": self.pi, "z_real": self.z_real,
             "draws_per_rep": self.draws_per_rep,
-            "thresholds": dict(self.thresholds),
         }
 
     def radius_law(self, p: int | None = None) -> RadiusLaw:
@@ -262,17 +259,13 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
     def write(self, outdir) -> None:
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "records.csv"), "w", encoding="utf-8") as fh:
-            fh.write(self.records_csv())
-        with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
-            fh.write(_dumps(self.summary))
-        with open(os.path.join(outdir, "theory.json"), "w", encoding="utf-8") as fh:
-            fh.write(_dumps(self.theory))
+        files = {"records.csv": self.records_csv(), "summary.json": _dumps(self.summary),
+                 "theory.json": _dumps(self.theory)}
         if self.hist is not None:
-            with open(os.path.join(outdir, "hist.csv"), "w", encoding="utf-8") as fh:
-                fh.write(self.hist_csv())
-        for name, text in self.extra_files.items():
+            files["hist.csv"] = self.hist_csv()
+        files.update(self.extra_files)
+        os.makedirs(outdir, exist_ok=True)
+        for name, text in files.items():
             with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
 
@@ -379,21 +372,60 @@ def _run_replicates(reps: int, jobs: int, worker, width: int):
     return records, failures
 
 
-def _base_summary(cfg: ExperimentConfig, records: np.ndarray, columns,
-                  failures: int) -> dict:
+def _population(cfg: ExperimentConfig, p: int | None = None):
+    """``(spec, pop, law, h2)`` of the configured population at dimension p."""
+    spec = cfg.population_spec(p)
+    pop = build_population(spec)
+    law = cfg.radius_law(p)
+    return spec, pop, law, radius_law_to_h2(law)
+
+
+def _n_spikes(cfg: ExperimentConfig) -> int:
+    k = len(cfg.population.get("spikes", ()))
+    if k < 1:
+        raise ConfigError(f"{cfg.kind} needs at least one population spike")
+    return k
+
+
+def _replicates(cfg: ExperimentConfig, jobs: int, columns, statistic, spec, law, *,
+                n: int | None = None, seed=None):
+    """Rows of ``statistic(sample)``; replicate r draws its sample from seed
+    ``seed(r)``, by default ``replicate_seed(cfg.seed, r)``."""
+    n = cfg.n if n is None else n
+    seed = seed or (lambda r: replicate_seed(cfg.seed, r))
+
+    def worker(r):
+        return statistic(draw_sample(spec, law, n, seed(r)))
+
+    return _run_replicates(cfg.reps, jobs, worker, len(columns))
+
+
+def _result(cfg: ExperimentConfig, columns, records: np.ndarray, failures: int,
+            summary: dict, theory: dict, **extra) -> ExperimentResult:
+    """Assemble the result; the run's metadata heads its summary."""
+    res = ExperimentResult(cfg.kind, cfg.to_dict(), list(columns), records, {},
+                           theory, failures, **extra)
     law = cfg.radius_law()
-    csv_text = ExperimentResult(cfg.kind, {}, list(columns), records, {}, {}, 0).records_csv()
-    return {
+    res.summary = {
         "kind": cfg.kind,
         "p": cfg.p, "n": cfg.n, "reps": cfg.reps, "seed": cfg.seed,
         "nu_rule": cfg.radius.get("nu_rule", "0"),
         "radius_kind": law.kind,
         "radius_conforming": law.bounded_support,
-        "zone_delta": ZONE_DELTA,
         "failures": failures,
-        "records_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
-        "thresholds": dict(cfg.thresholds),
+        "records_sha256": hashlib.sha256(res.records_csv().encode()).hexdigest(),
+        **summary,
     }
+    return res
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    return x[np.isfinite(x)]
+
+
+def _se(x: np.ndarray) -> float:
+    """Standard error of the mean of x."""
+    return float(np.std(x, ddof=1) / np.sqrt(x.size))
 
 
 def _zscore(value, target, se) -> float:
@@ -405,25 +437,18 @@ def _zscore(value, target, se) -> float:
 # ---------------------------------------------------------------------------
 
 def run_spike_dist(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    spec = cfg.population_spec()
-    if spec.n_spikes < 1:
-        raise ConfigError("spike-dist needs at least one population spike")
-    pop = build_population(spec)
-    law = cfg.radius_law()
-    h1n = nonspiked_spectrum_measure(spec)
-    h2 = radius_law_to_h2(law)
-    pred = predict_spike(cfg.c, h1n, h2, spec.spikes[0])
+    _n_spikes(cfg)
+    spec, pop, law, h2 = _population(cfg)
+    pred = predict_spike(cfg.c, nonspiked_spectrum_measure(spec), h2, spec.spikes[0])
     theta, sdsq = pred.theta, pred.sigma_delta_sq
     sd_lambda = theta * np.sqrt(sdsq / cfg.n)
 
-    def worker(r):
-        sample = draw_sample(spec, law, cfg.n, replicate_seed(cfg.seed, r))
-        bundle = build_scm(sample, population=pop, vectors=False)
-        return [bundle.eigenvalues[-1]]
+    def statistic(sample):
+        return [build_scm(sample, population=pop, vectors=False).eigenvalues[-1]]
 
-    records, failures = _run_replicates(cfg.reps, jobs, worker, 1)
-    lam = records[:, 0]
-    ok = lam[np.isfinite(lam)]
+    columns = ["lambda_1"]
+    records, failures = _replicates(cfg, jobs, columns, statistic, spec, law)
+    ok = _finite(records[:, 0])
     mean, var = float(ok.mean()), float(ok.var(ddof=1))
     std_spike = np.sqrt(cfg.n) * (ok - theta) / (theta * np.sqrt(sdsq))
     ks = float(sstats.kstest(std_spike, "norm").statistic)
@@ -434,26 +459,24 @@ def run_spike_dist(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     gauss = np.exp(-0.5 * ((centers - theta) / sd_lambda) ** 2) \
         / (sd_lambda * np.sqrt(2 * np.pi))
 
-    summary = _base_summary(cfg, records, ["lambda_1"], failures)
     se_mean = sd_lambda / np.sqrt(ok.size)
-    summary.update({
+    summary = {
         "mean_lambda1": mean,
         "var_lambda1": var,
         "se_mean": float(se_mean),
         "z_mean": _zscore(mean, theta, se_mean),
         "var_ratio_standardized": float(np.var(std_spike, ddof=1)),
         "ks_statistic": ks,
-    })
+    }
     theory = {
         "alpha": spec.spikes[0], "theta": theta, "g_prime": pred.g_prime,
         "sigma_delta_sq": sdsq, "sd_lambda1": float(sd_lambda),
         "var_lambda1": float(sd_lambda ** 2), "overlap_sq": pred.overlap_sq,
-        "light_tail": pred.light_tail, "zone_delta": ZONE_DELTA,
+        "light_tail": pred.light_tail,
     }
     hist = {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts,
             "gauss_density": gauss}
-    return ExperimentResult(cfg.kind, cfg.to_dict(), ["lambda_1"], records,
-                            summary, theory, failures, hist=hist)
+    return _result(cfg, columns, records, failures, summary, theory, hist=hist)
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +484,17 @@ def run_spike_dist(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def run_eigvec_overlap(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    p_grid = cfg.grid or (cfg.p,)
     c = cfg.c
-    k_spikes = len(cfg.population.get("spikes", ()))
-    if k_spikes < 1:
-        raise ConfigError("eigvec-overlap needs at least one population spike")
+    k_spikes = _n_spikes(cfg)
+    columns = (["p"] + [f"overlap_sq_{k+1}" for k in range(k_spikes)]
+               + [f"sign_{k+1}" for k in range(k_spikes)])
 
     all_records = []
     per_p = []
-    for p in p_grid:
+    for p in cfg.grid or (cfg.p,):
         n = int(round(p / c))
-        spec = cfg.population_spec(p)
-        pop = build_population(spec)
-        law = cfg.radius_law(p)
+        spec, pop, law, h2 = _population(cfg, p)
         h1n = nonspiked_spectrum_measure(spec)
-        h2 = radius_law_to_h2(law)
         theory_overlaps = []
         edge = find_bulk_edges(c, h1n, h2)[1]
         for alpha in spec.spikes:
@@ -483,15 +502,13 @@ def run_eigvec_overlap(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult
             theory_overlaps.append(gp / (theta / alpha))
         u1 = pop[1][:, :k_spikes]
 
-        def worker(r, spec=spec, law=law, n=n, pop=pop, u1=u1, p=p):
-            sample = draw_sample(spec, law, n, _derive(cfg.seed, 3, p, r))
-            bundle = build_scm(sample, population=pop)
-            vk = bundle.top_eigenvectors(u1.shape[1])
+        def statistic(sample, pop=pop, u1=u1, p=p):
+            vk = build_scm(sample, population=pop).top_eigenvectors(k_spikes)
             inner = np.sum(u1 * vk, axis=0)
             return np.concatenate([[p], inner ** 2, np.sign(inner)])
 
-        width = 1 + 2 * k_spikes
-        records, failures = _run_replicates(cfg.reps, jobs, worker, width)
+        records, failures = _replicates(cfg, jobs, columns, statistic, spec, law, n=n,
+                                        seed=lambda r, p=p: _derive(cfg.seed, 3, p, r))
         all_records.append(records)
         means = np.nanmean(records[:, 1:1 + k_spikes], axis=0)
         ses = np.nanstd(records[:, 1:1 + k_spikes], axis=0, ddof=1) / np.sqrt(cfg.reps)
@@ -500,131 +517,100 @@ def run_eigvec_overlap(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult
             "mean_overlap_sq": list(map(float, means)),
             "se": list(map(float, ses)),
             "theory_overlap_sq": list(map(float, theory_overlaps)),
-            "z": [(float(m) - float(t)) / float(s) if s > 0 else float("inf")
-                  for m, t, s in zip(means, theory_overlaps, ses)],
+            "z": [_zscore(m, t, s) for m, t, s in zip(means, theory_overlaps, ses)],
         })
 
     records = np.vstack(all_records)
-    columns = (["p"] + [f"overlap_sq_{k+1}" for k in range(k_spikes)]
-               + [f"sign_{k+1}" for k in range(k_spikes)])
     failures = int(np.isnan(records).any(axis=1).sum())
-    summary = _base_summary(cfg, records, columns, failures)
-    summary["per_p"] = per_p
     theory = {"per_p": [{"p": row["p"], "overlap_sq": row["theory_overlap_sq"]}
-                        for row in per_p], "zone_delta": ZONE_DELTA}
-    return ExperimentResult(cfg.kind, cfg.to_dict(), columns, records,
-                            summary, theory, failures)
+                        for row in per_p]}
+    return _result(cfg, columns, records, failures, {"per_p": per_p}, theory)
 
 
 # ---------------------------------------------------------------------------
-# bilinear-as: almost-sure convergence to the deterministic equivalent
+# bilinear-as / bilinear-clt: resolvent bilinear forms against their
+# deterministic equivalents, almost surely and in fluctuation
 # ---------------------------------------------------------------------------
 
-def _finite_n_inputs(cfg: ExperimentConfig):
-    spec = cfg.population_spec()
-    pop = build_population(spec)
-    law = cfg.radius_law()
-    h1n = DiscreteMeasure.from_values(pop[2])
-    h2 = radius_law_to_h2(law)
-    return spec, pop, law, h1n, h2
-
-
-def run_bilinear_as(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+def _bilinear_setup(cfg: ExperimentConfig):
+    """Population, the one or two (left, right) pi forms, and the
+    deterministic equivalent of each form at each z point."""
     if not cfg.z_points:
-        raise ConfigError("bilinear-as needs z_points")
-    spec, pop, law, h1n, h2 = _finite_n_inputs(cfg)
-    (pi1, pi2), _ = _pi_pairs(cfg, cfg.p, pop[1])
+        raise ConfigError(f"{cfg.kind} needs z_points")
+    spec, pop, law, h2 = _population(cfg)
+    h1n = DiscreteMeasure.from_values(pop[2])
+    first, second = _pi_pairs(cfg, cfg.p, pop[1])
+    forms = [first]
+    if not (np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])):
+        forms.append(second)
     sig_eig = (pop[2], pop[1])
     deteqs = []
     for z in cfg.z_points:
         g2 = solve_lsd(cfg.c, h1n, h2, z).g2
-        deteqs.append(deterministic_equivalent(z, g2, sig_eig, pi1, pi2))
+        deteqs.append([deterministic_equivalent(z, g2, sig_eig, a, b) for a, b in forms])
+    return spec, pop, law, h1n, h2, sig_eig, forms, deteqs
 
-    def worker(r):
-        sample = draw_sample(spec, law, cfg.n, replicate_seed(cfg.seed, r))
+
+def run_bilinear_as(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+    spec, pop, law, _, _, _, forms, deteqs = _bilinear_setup(cfg)
+    pi1, pi2 = forms[0]
+
+    def statistic(sample):
         bundle = build_scm(sample, population=pop)
-        out = []
-        for z, de in zip(cfg.z_points, deteqs):
-            out.append(abs(bilinear_resolvent(bundle, pi1, pi2, z) - de))
-        return out
+        return [abs(bilinear_resolvent(bundle, pi1, pi2, z) - de[0])
+                for z, de in zip(cfg.z_points, deteqs)]
 
     columns = [f"abs_dev_z{i}" for i in range(len(cfg.z_points))]
-    records, failures = _run_replicates(cfg.reps, jobs, worker, len(columns))
+    records, failures = _replicates(cfg, jobs, columns, statistic, spec, law)
     mean_dev = np.nanmean(records, axis=0)
-    summary = _base_summary(cfg, records, columns, failures)
-    summary.update({
+    summary = {
         "mean_abs_deviation": list(map(float, mean_dev)),
         "max_mean_abs_deviation": float(np.max(mean_dev)),
         "se": list(map(float, np.nanstd(records, axis=0, ddof=1) / np.sqrt(cfg.reps))),
-    })
-    theory = {"deterministic_equivalent": [[d.real, d.imag] for d in deteqs],
-              "z_points": [[z.real, z.imag] for z in cfg.z_points],
-              "zone_delta": ZONE_DELTA}
-    return ExperimentResult(cfg.kind, cfg.to_dict(), columns, records,
-                            summary, theory, failures)
+    }
+    theory = {"deterministic_equivalent": [[de[0].real, de[0].imag] for de in deteqs],
+              "z_points": [[z.real, z.imag] for z in cfg.z_points]}
+    return _result(cfg, columns, records, failures, summary, theory)
 
-
-# ---------------------------------------------------------------------------
-# bilinear-clt: fluctuations of the centered bilinear forms
-# ---------------------------------------------------------------------------
 
 def run_bilinear_clt(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    if not cfg.z_points:
-        raise ConfigError("bilinear-clt needs z_points")
-    spec, pop, law, h1n, h2 = _finite_n_inputs(cfg)
-    (pi1, pi2), (pi3, pi4) = _pi_pairs(cfg, cfg.p, pop[1])
-    two_forms = not (np.array_equal(pi1, pi3) and np.array_equal(pi2, pi4))
-    sig_eig = (pop[2], pop[1])
-    deteq1, deteq2 = [], []
-    for z in cfg.z_points:
-        g2 = solve_lsd(cfg.c, h1n, h2, z).g2
-        deteq1.append(deterministic_equivalent(z, g2, sig_eig, pi1, pi2))
-        deteq2.append(deterministic_equivalent(z, g2, sig_eig, pi3, pi4))
-
+    spec, pop, law, h1n, h2, sig_eig, forms, deteqs = _bilinear_setup(cfg)
+    two_forms = len(forms) == 2
+    (pi1, pi2), (pi3, pi4) = forms[0], forms[-1]
     sqrt_p = np.sqrt(cfg.p)
 
-    def worker(r):
-        sample = draw_sample(spec, law, cfg.n, replicate_seed(cfg.seed, r))
+    def statistic(sample):
         bundle = build_scm(sample, population=pop)
         out = []
-        for z, d1, d2 in zip(cfg.z_points, deteq1, deteq2):
-            m1 = sqrt_p * (bilinear_resolvent(bundle, pi1, pi2, z) - d1)
-            out.extend([m1.real, m1.imag])
-            if two_forms:
-                m2 = sqrt_p * (bilinear_resolvent(bundle, pi3, pi4, z) - d2)
-                out.extend([m2.real, m2.imag])
+        for z, des in zip(cfg.z_points, deteqs):
+            for (a, b), de in zip(forms, des):
+                m = sqrt_p * (bilinear_resolvent(bundle, a, b, z) - de)
+                out.extend([m.real, m.imag])
         return out
 
-    per_z = 4 if two_forms else 2
-    columns = []
-    for i in range(len(cfg.z_points)):
-        columns += [f"re_m1_z{i}", f"im_m1_z{i}"]
-        if two_forms:
-            columns += [f"re_m2_z{i}", f"im_m2_z{i}"]
-    records, failures = _run_replicates(cfg.reps, jobs, worker, len(columns))
+    per_z = 2 * len(forms)
+    columns = [f"{part}_m{f}_z{i}" for i in range(len(cfg.z_points))
+               for f in range(1, len(forms) + 1) for part in ("re", "im")]
+    records, failures = _replicates(cfg, jobs, columns, statistic, spec, law)
 
-    summary = _base_summary(cfg, records, columns, failures)
-    theory = {"z_points": [[z.real, z.imag] for z in cfg.z_points],
-              "zone_delta": ZONE_DELTA, "per_z": []}
+    summary = {}
+    theory = {"z_points": [[z.real, z.imag] for z in cfg.z_points], "per_z": []}
     stats_per_z = []
     for i, z in enumerate(cfg.z_points):
         base = per_z * i
-        m1 = records[:, base] + 1j * records[:, base + 1]
-        m1 = m1[np.isfinite(m1)]
+        m1 = _finite(records[:, base] + 1j * records[:, base + 1])
         var1 = complex(np.mean(m1 ** 2) - np.mean(m1) ** 2)
         tvar1 = cov_m_diagonal(cfg.c, h1n, h2, sig_eig, (pi1, pi2, pi1, pi2), z)
         entry = {
             "z": [z.real, z.imag],
             "mean_m1": [float(np.mean(m1.real)), float(np.mean(m1.imag))],
-            "se_mean_m1": [float(np.std(m1.real, ddof=1) / np.sqrt(m1.size)),
-                           float(np.std(m1.imag, ddof=1) / np.sqrt(m1.size))],
+            "se_mean_m1": [_se(m1.real), _se(m1.imag)],
             "var_m1": [var1.real, var1.imag],
             "var_ratio_m1": float(abs(var1) / abs(tvar1)),
         }
         tentry = {"z": [z.real, z.imag], "var_m1": [tvar1.real, tvar1.imag]}
         if two_forms:
-            m2 = records[:, base + 2] + 1j * records[:, base + 3]
-            m2 = m2[np.isfinite(m2)]
+            m2 = _finite(records[:, base + 2] + 1j * records[:, base + 3])
             cov12 = complex(np.mean(m1 * m2) - np.mean(m1) * np.mean(m2))
             tcov12 = cov_m_diagonal(cfg.c, h1n, h2, sig_eig, (pi1, pi2, pi3, pi4), z)
             se_cov = float(np.std((m1 - m1.mean()) * (m2 - m2.mean())) / np.sqrt(m1.size))
@@ -647,8 +633,7 @@ def run_bilinear_clt(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         summary["cross_cov_z0_z1"] = [cross.real, cross.imag]
         theory["cross_cov_z0_z1"] = [tcross.real, tcross.imag]
     summary["per_z"] = stats_per_z
-    return ExperimentResult(cfg.kind, cfg.to_dict(), columns, records,
-                            summary, theory, failures)
+    return _result(cfg, columns, records, failures, summary, theory)
 
 
 # ---------------------------------------------------------------------------
@@ -656,14 +641,9 @@ def run_bilinear_clt(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def run_goe_entries(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    spec = cfg.population_spec()
-    k = spec.n_spikes
-    if k < 1:
-        raise ConfigError("goe-entries needs at least one spike")
-    pop = build_population(spec)
-    law = cfg.radius_law()
+    k = _n_spikes(cfg)
+    spec, pop, law, h2 = _population(cfg)
     h1n = nonspiked_spectrum_measure(spec)
-    h2 = radius_law_to_h2(law)
     if cfg.z_real is not None:
         z = float(cfg.z_real)
     else:
@@ -675,18 +655,15 @@ def run_goe_entries(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     columns = [f"O_{i+1}{j+1}" for i, j in pairs]
 
-    def worker(r):
-        sample = draw_sample(spec, law, cfg.n, replicate_seed(cfg.seed, r))
+    def statistic(sample):
         q = spiked_quadform(sample, z, population=pop)
         o = sqrt_p * z * (q + g2n * np.eye(k))
         return [o[i, j] for i, j in pairs]
 
-    records, failures = _run_replicates(cfg.reps, jobs, worker, len(columns))
-    summary = _base_summary(cfg, records, columns, failures)
+    records, failures = _replicates(cfg, jobs, columns, statistic, spec, law)
     ent = {}
-    for col, (i, j) in zip(columns, pairs):
-        vals = records[:, columns.index(col)]
-        vals = vals[np.isfinite(vals)]
+    for col, (i, j), vals in zip(columns, pairs, records.T):
+        vals = _finite(vals)
         var = float(np.var(vals, ddof=1))
         target = profile.cov(i, j, i, j)
         ent[col] = {
@@ -704,11 +681,9 @@ def run_goe_entries(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
                           * (o12[mask] - o12[mask].mean()), ddof=1)
                    / np.sqrt(mask.sum()))
         ent["cov_O11_O12"] = {"value": cov, "se": se, "z": _zscore(cov, 0.0, se)}
-    summary["entries"] = ent
     theory = {"z": z, "g2n": g2n, "sigma11_sq": profile.sigma11_sq,
-              "sigma12_sq": profile.sigma12_sq, "zone_delta": ZONE_DELTA}
-    return ExperimentResult(cfg.kind, cfg.to_dict(), columns, records,
-                            summary, theory, failures)
+              "sigma12_sq": profile.sigma12_sq}
+    return _result(cfg, columns, records, failures, {"entries": ent}, theory)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +691,8 @@ def run_goe_entries(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def run_vesd(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    spec, pop, law, h1n, h2 = _finite_n_inputs(cfg)
+    spec, pop, law, h2 = _population(cfg)
+    h1n = DiscreteMeasure.from_values(pop[2])
     (pi, _), _ = _pi_pairs(cfg, cfg.p, pop[1])
     sig_eig = (pop[2], pop[1])
     contour = default_contour(cfg.c, h1n, h2, spikes=spec.spikes)
@@ -726,8 +702,7 @@ def run_vesd(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
                  for name, f in zetas.items()}
     sqrt_p = np.sqrt(cfg.p)
 
-    def worker(r):
-        sample = draw_sample(spec, law, cfg.n, replicate_seed(cfg.seed, r))
+    def statistic(sample):
         bundle = build_scm(sample, population=pop)
         q = bundle.eigenvectors.T @ pi
         w = q ** 2
@@ -737,45 +712,39 @@ def run_vesd(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         return [s1, s2, mass]
 
     columns = ["stat_x", "stat_x2", "stat_const"]
-    records, failures = _run_replicates(cfg.reps, jobs, worker, len(columns))
+    records, failures = _replicates(cfg, jobs, columns, statistic, spec, law)
 
     var_theory = {}
-    for (na, fa), (nb, fb) in [(("x", zetas["x"]), ("x", zetas["x"])),
-                               (("x2", zetas["x2"]), ("x2", zetas["x2"])),
-                               (("x", zetas["x"]), ("x2", zetas["x2"]))]:
-        key = f"{na}_{nb}"
-        var_theory[key] = eigvec_stat_cov(cfg.c, h1n, h2, sig_eig, pi, fa, fb,
-                                          contour=contour, quad_n=96)
+    for na, nb in [("x", "x"), ("x2", "x2"), ("x", "x2")]:
+        var_theory[f"{na}_{nb}"] = eigvec_stat_cov(cfg.c, h1n, h2, sig_eig, pi,
+                                                   zetas[na], zetas[nb],
+                                                   contour=contour, quad_n=96)
     conv_check = eigvec_stat_cov(cfg.c, h1n, h2, sig_eig, pi,
                                  zetas["x"], zetas["x"], contour=contour,
                                  quad_n=192)
 
-    summary = _base_summary(cfg, records, columns, failures)
-    s1 = records[:, 0][np.isfinite(records[:, 0])]
-    s2 = records[:, 1][np.isfinite(records[:, 1])]
-    summary.update({
+    s1 = _finite(records[:, 0])
+    s2 = _finite(records[:, 1])
+    summary = {
         "mean": [float(s1.mean()), float(s2.mean())],
-        "se_mean": [float(s1.std(ddof=1) / np.sqrt(s1.size)),
-                    float(s2.std(ddof=1) / np.sqrt(s2.size))],
+        "se_mean": [_se(s1), _se(s2)],
         "var": [float(s1.var(ddof=1)), float(s2.var(ddof=1))],
         "cov_x_x2": float(np.cov(s1, s2)[0, 1]),
         "var_ratio": [float(s1.var(ddof=1) / var_theory["x_x"]),
                       float(s2.var(ddof=1) / var_theory["x2_x2"])],
         "max_abs_stat_const": float(np.nanmax(np.abs(records[:, 2]))),
-    })
+    }
     theory = {
         "centering": centering,
         "cov": var_theory,
         "quad_doubling_rel_change": abs(conv_check - var_theory["x_x"])
         / max(abs(conv_check), 1e-300),
-        "zone_delta": ZONE_DELTA,
     }
     grid = np.linspace(max(contour.x_left, 1e-3), contour.x_right, 400)
     ref = stieltjes_invert(cfg.c, h1n, h2, grid, eps=1e-4,
                            sigma_eig=sig_eig, pi=pi)
-    extra = {"aniso_cdf.csv": ref.to_csv()}
-    return ExperimentResult(cfg.kind, cfg.to_dict(), columns, records,
-                            summary, theory, failures, extra_files=extra)
+    return _result(cfg, columns, records, failures, summary, theory,
+                   extra_files={"aniso_cdf.csv": ref.to_csv()})
 
 
 # ---------------------------------------------------------------------------
@@ -803,19 +772,16 @@ def run_quadform_oracle(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResul
 
     columns = [f"cov_pair{i}" for i in range(n_pairs)]
     records, failures = _run_replicates(cfg.reps, jobs, worker, n_pairs)
-    summary = _base_summary(cfg, records, columns, failures)
     pairs = []
     for i in range(n_pairs):
-        vals = records[:, i][np.isfinite(records[:, i])]
+        vals = _finite(records[:, i])
         mc = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
+        se = _se(vals) if vals.size > 1 else 0.0
         pairs.append({"mc_cov": mc, "exact": float(exact[i]), "se": se,
                       "z": _zscore(mc, exact[i], se)})
-    summary["pairs"] = pairs
-    summary["total_draws"] = cfg.reps * cfg.draws_per_rep
+    summary = {"pairs": pairs, "total_draws": cfg.reps * cfg.draws_per_rep}
     theory = {"exact_cov": list(map(float, exact))}
-    return ExperimentResult(cfg.kind, cfg.to_dict(), columns, records,
-                            summary, theory, failures)
+    return _result(cfg, columns, records, failures, summary, theory)
 
 
 _RUNNERS = {

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, PoleError
-from .lsd import (LsdSolution, derivatives, find_bulk_edges, outer_support_bracket,
-                  solve_lsd, solve_lsd_point, solve_lsd_real)
+from .lsd import LsdSolution, derivatives, outer_support_bracket, solve_lsd_point
 from .measures import DiscreteMeasure
 
 __all__ = [

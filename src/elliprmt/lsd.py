@@ -375,17 +375,6 @@ class InvertedLaw:
             fh.write(self.to_csv())
 
 
-def _sweep(c, h1, h2, points, tol=DEFAULT_TOL):
-    """Warm-started solve over an array of complex points."""
-    sols = []
-    init = None
-    for z in points:
-        sol = solve_lsd(c, h1, h2, z, tol=tol, init=init)
-        init = (sol.g1, sol.g2)
-        sols.append(sol)
-    return sols
-
-
 def stieltjes_invert(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
                      grid: np.ndarray, eps: float = 1e-4,
                      sigma_eig: tuple[np.ndarray, np.ndarray] | None = None,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -208,12 +208,6 @@ class RadiusLaw:
         """False for the gamma kind, whose support is unbounded."""
         return self.kind != "gamma"
 
-    def mean_sq_radius(self) -> float:
-        return float(self.p)
-
-    def var_sq_radius(self) -> float:
-        return float(self.nu_p)
-
 
 def _quantile_atoms(law: RadiusLaw, n_atoms: int) -> np.ndarray:
     from scipy import stats
@@ -230,10 +224,13 @@ def radius_law_to_h2(law: RadiusLaw, n_atoms: int = QUANTILE_ATOMS) -> DiscreteM
     """Law of rho^2 / sqrt(m_p): the second input measure of the solver.
 
     Exact for the deterministic and two-point kinds.  Continuous kinds are
-    discretized on ``n_atoms`` equal-probability quantile midpoints, then
-    moment-matched so the discretization integrates y and y^2 to the exact
-    analytic values (affine correction; falls back to a pure second-moment
-    rescale if the shift would create a negative atom).
+    discretized on ``n_atoms`` equal-probability quantile midpoints, whose
+    equal weights are then reweighted by a quadratic tilt so the grid
+    integrates y and y^2 to the exact analytic values; the atoms stay put.
+    Raises :class:`DomainError` when no positive tilt exists.  With the
+    default 512 atoms that happens for a gamma law with nu_p above about
+    178 p^2, whose tail beyond the last quantile atom holds more of the
+    second moment than a positive reweighting of the grid can recover.
     """
     scale = 1.0 / np.sqrt(law.m_p)
     if law.kind == "deterministic":
@@ -246,15 +243,18 @@ def radius_law_to_h2(law: RadiusLaw, n_atoms: int = QUANTILE_ATOMS) -> DiscreteM
 
     atoms = _quantile_atoms(law, n_atoms) * scale
     weights = np.full(n_atoms, 1.0 / n_atoms)
-    # minimally reweight (quadratic tilt) so the grid integrates y and y^2
-    # to the exact analytic moments; atoms stay on the quantile grid
     target = np.array([1.0, law.p * scale, 1.0])
     mom = np.array([np.sum(weights * atoms ** k) for k in range(5)])
     lhs = np.array([[mom[0], mom[1], mom[2]],
                     [mom[1], mom[2], mom[3]],
                     [mom[2], mom[3], mom[4]]])
-    coef = np.linalg.solve(lhs, target - mom[:3])
+    failure = (f"cannot match the moments of the {law.kind} radius law with "
+               f"p={law.p}, nu_p={law.nu_p!r} on {n_atoms} quantile atoms")
+    try:
+        coef = np.linalg.solve(lhs, target - mom[:3])
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"{failure}: singular moment matrix") from exc
     tilted = weights * (1.0 + coef[0] + coef[1] * atoms + coef[2] * atoms ** 2)
-    if tilted.min() > 0:
-        weights = tilted / tilted.sum()
-    return DiscreteMeasure(atoms, weights)
+    if tilted.min() <= 0:
+        raise DomainError(f"{failure}: the quadratic tilt turns negative")
+    return DiscreteMeasure(atoms, tilted / tilted.sum())

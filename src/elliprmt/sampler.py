@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -150,13 +149,6 @@ class EllipticalSample:
     @property
     def n(self) -> int:
         return self.data.shape[1]
-
-    def data_csv(self) -> str:
-        """Raw data matrix as CSV (one row per coordinate); debug aid only."""
-        lines = [",".join(f"x{j}" for j in range(self.n))]
-        for row in self.data:
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
 
 
 def _sample_sq_radii(law: RadiusLaw, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -82,6 +82,23 @@ def test_lsd_density_zero_mass_for_large_c(tmp_path, capsys):
     assert "point mass at zero: 0.5" in out
 
 
+def test_lsd_density_solver_failure(tmp_path, capsys, monkeypatch):
+    from elliprmt import lsd
+    from elliprmt.errors import ConvergenceError
+
+    def fail(c, h1, h2, z, **kwargs):
+        raise ConvergenceError("no convergence", residual=1.0, iterations=0)
+
+    monkeypatch.setattr(lsd, "solve_lsd", fail)
+    out_path = tmp_path / "dens.csv"
+    code, _, err = run_cli(capsys, "lsd", "density", "--c", "0.5", "--h1", "delta:1",
+                           "--h2", "delta:1", "--grid", "0.25:4:200",
+                           "--out", str(out_path))
+    assert code == 2
+    assert "grid point x=0.25" in err
+    assert not out_path.exists()
+
+
 def test_lsd_density_bad_steps(capsys):
     code, _, err = run_cli(capsys, "lsd", "density", "--c", "0.5", "--h1", "delta:1",
                            "--h2", "delta:1", "--grid", "0:4:0", "--out", "x.csv")

@@ -309,3 +309,29 @@ def test_all_kinds_dispatch():
     assert set(EXPERIMENT_KINDS) == {
         "spike-dist", "eigvec-overlap", "bilinear-as", "bilinear-clt",
         "vesd", "quadform-oracle", "goe-entries"}
+
+
+_SMALL = {"p": 20, "n": 40, "reps": 6, "seed": 11, "radius": {"nu_rule": "p"}}
+_KIND_CONFIGS = {
+    "spike-dist": {"population": {"spikes": [8.0], "bulk": "uniform"}},
+    "eigvec-overlap": {"population": {"spikes": [8.0], "bulk": "ones"},
+                       "grid": [20, 24]},
+    "bilinear-as": {"population": {"spikes": [], "bulk": "ones"},
+                    "z_points": [[1.0, 1.0], [2.0, 0.5]], "pi": ["e1", "e2"]},
+    "bilinear-clt": {"population": {"spikes": [], "bulk": "ones"},
+                     "z_points": [[1.5, 1.0], [2.0, 0.5]],
+                     "pi": [["e1", "e1"], ["e2", "e2"]]},
+    "goe-entries": {"population": {"spikes": [10.0, 8.0], "bulk": "uniform"}},
+    "vesd": {"population": {"spikes": [], "bulk": "ones"}, "pi": "uniform"},
+    "quadform-oracle": {"draws_per_rep": 500},
+}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_every_kind_deterministic_across_jobs(kind):
+    cfg = ExperimentConfig.from_dict({"kind": kind, **_SMALL, **_KIND_CONFIGS[kind]})
+    a = run_experiment(cfg, jobs=1)
+    b = run_experiment(cfg, jobs=2)
+    assert a.failures == 0
+    assert a.records_csv() == b.records_csv()
+    assert json.dumps(a.summary, sort_keys=True) == json.dumps(b.summary, sort_keys=True)

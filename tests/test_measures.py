@@ -131,6 +131,8 @@ def test_gamma_flagged_unbounded():
     RadiusLaw("chi-square", p=50, nu_p=100.0),
     RadiusLaw("gamma", p=50, nu_p=2500.0),
     RadiusLaw("gamma", p=200, nu_p=200.0),
+    RadiusLaw("gamma", p=2, nu_p=4.0),
+    RadiusLaw("gamma", p=200, nu_p=40000.0),
 ])
 def test_h2_moment_invariants(law):
     # first moment p/sqrt(m_p), second moment exactly 1 (m_p = E rho^4)
@@ -141,3 +143,13 @@ def test_h2_moment_invariants(law):
     assert abs(mean - law.p / np.sqrt(law.m_p)) < tol
     assert abs(second - 1.0) < tol
     assert np.all(h2.atoms >= 0)
+
+
+@pytest.mark.parametrize("p", [2, 10, 200])
+@pytest.mark.parametrize("ratio, reason", [(300.0, "tilt turns negative"),
+                                           (1e6, "singular moment matrix")])
+def test_gamma_h2_too_heavy_to_match_raises(p, ratio, reason):
+    # no positive reweighting of the quantile grid reaches the second moment;
+    # returning the unmatched grid would give the solver a law with E y^2 < 1
+    with pytest.raises(DomainError, match=reason):
+        radius_law_to_h2(RadiusLaw("gamma", p=p, nu_p=ratio * p ** 2))
