@@ -98,13 +98,7 @@ def _cmd_lsd_density(args) -> int:
 def _cmd_spike_predict(args) -> int:
     h1 = _parse_measure(args.h1)
     h2 = _parse_measure(args.h2)
-    try:
-        pred = predict_spike(args.c, h1, h2, args.alpha)
-    except SubcriticalSpikeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"detectability threshold estimate: {exc.threshold!r}", file=sys.stderr)
-        return EXIT_SUBCRITICAL
-    print(pred.to_json())
+    print(predict_spike(args.c, h1, h2, args.alpha).to_json())
     return EXIT_OK
 
 
@@ -239,6 +233,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except SubcriticalSpikeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        print(f"detectability threshold: {exc.threshold!r}", file=sys.stderr)
         return EXIT_SUBCRITICAL
 
 

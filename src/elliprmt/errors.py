@@ -35,10 +35,7 @@ class ConvergenceError(ElliprmtError):
 
 
 class SubcriticalSpikeError(ElliprmtError):
-    """Population spike below the phase-transition threshold.
-
-    ``threshold`` is the numerically estimated smallest detectable spike.
-    """
+    """Population spike not above its detectability threshold ``threshold``."""
 
     def __init__(self, message: str, threshold: float):
         super().__init__(message)

@@ -27,18 +27,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
 
 from .covariance import build_scm, bilinear_resolvent, spiked_quadform
 from .errors import ConfigError
 from .kernels import (contour_moment, cov_m, cov_m_diagonal, default_contour,
                       deterministic_equivalent, eigvec_stat_cov)
-from .lsd import find_bulk_edges, solve_lsd, solve_lsd_real, stieltjes_invert
+from .lsd import solve_lsd, solve_lsd_real, stieltjes_invert
 from .measures import DiscreteMeasure, RadiusLaw, radius_law_to_h2
 from .sampler import (PopulationSpec, build_population, draw_sample,
                       nonspiked_spectrum_measure, quadform_moment_oracle,
                       replicate_seed)
-from .spikes import predict_spike, goe_covariance_profile, transition
+from .spikes import goe_covariance_profile, overlap_sq, predict_spike, transition
 
 __all__ = [
     "ExperimentConfig",
@@ -428,6 +427,11 @@ def _se(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1) / np.sqrt(x.size))
 
 
+def _nan_se(records: np.ndarray) -> np.ndarray:
+    """Per-column standard error of the mean over the finite rows."""
+    return np.nanstd(records, axis=0, ddof=1) / np.sqrt(np.isfinite(records).sum(axis=0))
+
+
 def _zscore(value, target, se) -> float:
     return float((value - target) / se) if se > 0 else float("inf")
 
@@ -451,7 +455,8 @@ def run_spike_dist(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     ok = _finite(records[:, 0])
     mean, var = float(ok.mean()), float(ok.var(ddof=1))
     std_spike = np.sqrt(cfg.n) * (ok - theta) / (theta * np.sqrt(sdsq))
-    ks = float(sstats.kstest(std_spike, "norm").statistic)
+    from scipy import stats  # only this kind needs it, and it is slow to import
+    ks = float(stats.kstest(std_spike, "norm").statistic)
 
     n_bins = max(10, min(60, int(np.sqrt(ok.size))))
     counts, edges = np.histogram(ok, bins=n_bins)
@@ -495,11 +500,7 @@ def run_eigvec_overlap(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult
         n = int(round(p / c))
         spec, pop, law, h2 = _population(cfg, p)
         h1n = nonspiked_spectrum_measure(spec)
-        theory_overlaps = []
-        edge = find_bulk_edges(c, h1n, h2)[1]
-        for alpha in spec.spikes:
-            theta, gp = transition(c, h1n, h2, alpha, edge=edge)
-            theory_overlaps.append(gp / (theta / alpha))
+        theory_overlaps = [overlap_sq(c, h1n, h2, alpha) for alpha in spec.spikes]
         u1 = pop[1][:, :k_spikes]
 
         def statistic(sample, pop=pop, u1=u1, p=p):
@@ -511,7 +512,7 @@ def run_eigvec_overlap(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult
                                         seed=lambda r, p=p: _derive(cfg.seed, 3, p, r))
         all_records.append(records)
         means = np.nanmean(records[:, 1:1 + k_spikes], axis=0)
-        ses = np.nanstd(records[:, 1:1 + k_spikes], axis=0, ddof=1) / np.sqrt(cfg.reps)
+        ses = _nan_se(records[:, 1:1 + k_spikes])
         per_p.append({
             "p": p, "n": n, "failures": failures,
             "mean_overlap_sq": list(map(float, means)),
@@ -566,7 +567,7 @@ def run_bilinear_as(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     summary = {
         "mean_abs_deviation": list(map(float, mean_dev)),
         "max_mean_abs_deviation": float(np.max(mean_dev)),
-        "se": list(map(float, np.nanstd(records, axis=0, ddof=1) / np.sqrt(cfg.reps))),
+        "se": list(map(float, _nan_se(records))),
     }
     theory = {"deterministic_equivalent": [[de[0].real, de[0].imag] for de in deteqs],
               "z_points": [[z.real, z.imag] for z in cfg.z_points]}
@@ -629,6 +630,8 @@ def run_bilinear_clt(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         tcross = cov_m(cfg.c, h1n, h2, sig_eig, (pi1, pi2, pi1, pi2), z1, z2)
         a = records[:, 0] + 1j * records[:, 1]
         b = records[:, per_z] + 1j * records[:, per_z + 1]
+        both = np.isfinite(a) & np.isfinite(b)
+        a, b = a[both], b[both]
         cross = complex(np.mean(a * b) - np.mean(a) * np.mean(b))
         summary["cross_cov_z0_z1"] = [cross.real, cross.imag]
         theory["cross_cov_z0_z1"] = [tcross.real, tcross.imag]
@@ -644,10 +647,8 @@ def run_goe_entries(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     k = _n_spikes(cfg)
     spec, pop, law, h2 = _population(cfg)
     h1n = nonspiked_spectrum_measure(spec)
-    if cfg.z_real is not None:
-        z = float(cfg.z_real)
-    else:
-        z = transition(cfg.c, h1n, h2, spec.spikes[0])[0]
+    z = (float(cfg.z_real) if cfg.z_real is not None
+         else transition(cfg.c, h1n, h2, spec.spikes[0])[0])
     g2n = solve_lsd_real(cfg.c, h1n, h2, z).g2.real
     profile = goe_covariance_profile(cfg.c, h1n, h2, z, k)
     sqrt_p = np.sqrt(cfg.p)

@@ -253,11 +253,8 @@ def default_contour(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
     inset inner contour still encloses the bracket.
     """
     lo0, hi0 = outer_support_bracket(c, h1, h2)
-    hi = hi0
-    if spikes:
-        from .spikes import transition
-        for alpha in spikes:
-            hi = max(hi, transition(c, h1, h2, alpha)[0])
+    from .spikes import transition
+    hi = max([hi0] + [transition(c, h1, h2, alpha)[0] for alpha in spikes])
     x_right = 1.2 * hi
     if lo0 <= 1e-12:
         x_left = -0.1 * hi

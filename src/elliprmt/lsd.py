@@ -1,4 +1,4 @@
-"""Fixed-point solver for the coupled spectral-limit system.
+"""Solvers for the coupled spectral-limit system, off and on the real axis.
 
 For aspect ratio c and input laws H1 (population spectrum) and H2
 (normalized squared radius), the pair (g1, g2) solves
@@ -8,11 +8,18 @@ For aspect ratio c and input laws H1 (population spectrum) and H2
 
 and the Stieltjes transform of the limit law follows as
 ``m(z) = -z^{-1} int (1 + g2(z) x)^{-1} dH1(x)`` with companion
-``m_under(z) = -(1-c)/z + c m(z) = -1/z - g1 g2``.  The solver iterates a
-damped alternation (globally stable for Im z bounded away from 0) and falls
-back to Newton on the 2x2 complex system; real-axis values outside the bulk
-are reached through a shrinking imaginary-offset ladder with extrapolation
-and a final real Newton polish.
+``m_under(z) = -(1-c)/z + c m(z) = -1/z - g1 g2``.  Off the real axis the
+solver iterates a damped alternation (globally stable for Im z bounded away
+from 0) and falls back to Newton on the 2x2 complex system.
+
+On the real axis outside the bulk the system inverts along one coordinate
+(Silverstein & Choi 1995; Couillet & Hachem 2014 for separable models such
+as this one, with D = diag(rho^2)).  Fixing g2 = s gives g1 = -c A(s)/z with
+A(s) = int x/(1 + s x) dH1, and z is the one root of
+-s = int y/(z - c A(s) y) dH2 above c A(s) max H2.  Spike locations are
+z(-1/alpha); bulk edges are the turning points of z(s), and the
+detectability threshold is -1/s* at the upper one.  ``solve_lsd_real``
+keeps the imaginary-offset ladder for a real point given by its x.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ __all__ = [
     "stieltjes_invert",
     "InvertedLaw",
     "find_bulk_edges",
+    "solve_lsd_inverse",
+    "upper_edge_g2",
     "outer_support_bracket",
 ]
 
@@ -436,56 +445,101 @@ def stieltjes_invert(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
                        zero_mass=zero_mass, total_mass=float(cdf[-1]))
 
 
-def _im_g2_at(c, h1, h2, x: float, eps: float, init=None) -> tuple[float, tuple]:
-    try:
-        sol = solve_lsd(c, h1, h2, complex(x, eps), init=init)
-    except ConvergenceError:
-        return np.inf, init  # treat non-convergence as "inside the bulk"
-    return sol.g2.imag, (sol.g1, sol.g2)
+class _InverseMap:
+    """z as a function of one coordinate held fixed at a real value s.
 
-
-def find_bulk_edges(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
-                    scan_points: int = 600) -> tuple[float, float]:
-    """Locate the lower and upper edges of the continuous bulk.
-
-    Scans the inverted density at eps = 1e-4 inside the closed-form outer
-    bracket, then refines each edge by bisection on the indicator
-    Im g2(x + i 1e-6) > 1e-4, using the bracket itself as the certified
-    outside point.
+    With g2 = s (g1 = s when ``swap`` exchanges the equations) the other
+    coordinate is -K(s)/z, K(s) = int x/(1 + s x) dU, and z solves
+    -s = int y/(z - K(s) y) dV; c rides on the weights of H1, atoms at zero
+    drop out.  With z = K y0 + w, y0 the largest positive atom of V if K > 0
+    and the smallest if K < 0, f(w) = int y/(w + K (y0 - y)) dV + s is
+    convex and falls from +inf to s < 0 on w > 0, so Newton's method
+    started where f > 0 climbs to the root without overshooting it.
     """
-    lo0, hi0 = outer_support_bracket(c, h1, h2)
-    if hi0 <= 0:
-        raise DomainError("degenerate inputs: bulk support has empty interior")
-    start = max(lo0, 0.0) + 1e-6 * hi0
-    grid = np.linspace(start, hi0, scan_points)
-    law = stieltjes_invert(c, h1, h2, grid, eps=1e-4)
-    if not (law.density > 1e-6).any():
-        raise DomainError("no bulk detected: density below threshold everywhere")
-    # interior seeds: well above the eps-tail floor that leaks past the edge
-    interior = law.density > max(1e-6, 0.05 * float(law.density.max()))
-    idx_hi = int(np.nonzero(interior)[0][-1])
-    idx_lo = int(np.nonzero(interior)[0][0])
 
-    def _bisect(inside_x: float, outside_x: float) -> float:
-        init = None
-        for _ in range(48):
-            mid = 0.5 * (inside_x + outside_x)
-            val, init = _im_g2_at(c, h1, h2, mid, 1e-6, init=init)
-            if val > 1e-4:
-                inside_x = mid
-            else:
-                outside_x = mid
-        return 0.5 * (inside_x + outside_x)
+    def __init__(self, c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, swap=False):
+        _check_law(h1, "H1")
+        _check_law(h2, "H2")
+        if not (h1.atoms[-1] > 0 and h2.atoms[-1] > 0):
+            raise DomainError("degenerate inputs: bulk support has empty interior")
+        (u, ku), (v, kv) = ((h2, 1.0), (h1, c)) if swap else ((h1, c), (h2, 1.0))
+        self.ux, self.uw = u.atoms[u.atoms > 0], ku * u.weights[u.atoms > 0]
+        self.vy, self.vw = v.atoms[v.atoms > 0], kv * v.weights[v.atoms > 0]
 
-    hi_out = 1.05 * hi0
-    val, _ = _im_g2_at(c, h1, h2, hi_out, 1e-6)
-    while val > 1e-4:  # paranoia: bracket should already certify "outside"
-        hi_out *= 1.2
-        val, _ = _im_g2_at(c, h1, h2, hi_out, 1e-6)
-    upper = _bisect(float(grid[idx_hi]), hi_out)
-    if idx_lo == 0:
-        lower = float(grid[0])
-    else:
-        lo_out = 0.95 * lo0 if lo0 > float(grid[0]) else float(grid[0])
-        lower = _bisect(float(grid[idx_lo]), lo_out)
-    return float(lower), float(upper)
+    def point(self, s: float) -> tuple[float, float, float]:
+        """(z, K, slope) at s; slope = 1 + K' int y^2/(z - K y)^2 dV has the sign of dz/ds."""
+        d = 1.0 + s * self.ux
+        k = float(np.sum(self.uw * self.ux / d))
+        i = -1 if k > 0 else 0
+        gap, num = k * (self.vy[i] - self.vy), self.vw * self.vy
+        w = max(num[i], num.sum() + s * gap.max()) / -s  # two lower bounds of the root
+        for _ in range(200):
+            step = (float(np.sum(num / (w + gap))) + s) / float(np.sum(num / (w + gap) ** 2))
+            w += step
+            if step <= _RTOL * w:
+                break
+        else:
+            raise ConvergenceError(f"inverse map did not converge at s={s!r}")
+        slope = 1.0 - float(np.sum(self.uw * (self.ux / d) ** 2)) \
+            * float(np.sum(num * self.vy / (w + gap) ** 2))
+        return float(k * self.vy[i] + w), k, slope
+
+    def turning_point(self, upper: bool) -> float:
+        """s where the slope changes sign on s = -1/r, for r from the pole
+        r = max U up to 2^64 max U, or from r = min+ U down to 2^-64 min+ U:
+        the slope is negative at the pole and positive far from it."""
+        pole, sign = (float(self.ux[-1]), 1) if upper else (float(self.ux[0]), -1)
+        near, far = pole * (1.0 + sign * _ETA), pole * 2.0 ** (64 * sign)
+
+        def slope(r):
+            return self.point(-1.0 / r)[2]
+
+        if not slope(near) < 0 < slope(far):
+            raise ConvergenceError(f"no sign change of the inverse-map slope beyond r={pole!r}")
+        lo, hi = min(near, far), max(near, far)
+        while hi > lo * (1.0 + _RTOL):  # bisect in log r; slope(lo) < 0 iff upper
+            mid = float(np.sqrt(lo * hi))
+            lo, hi = (mid, hi) if (slope(mid) < 0) == upper else (lo, mid)
+        return -2.0 / (lo + hi)
+
+
+_RTOL, _ETA = 4.0 * float(np.finfo(float).eps), 2.0 ** -40
+
+
+def solve_lsd_inverse(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
+                      g2: float) -> LsdSolution:
+    """Exact real-axis solution with g2 = s in (-1/max H1, 0), at z above
+    the bulk: z is the one root of -s = int y/(z - c A(s) y) dH2 above
+    c A(s) max H2, A(s) = int x/(1 + s x) dH1, and g1 = -c A(s)/z.  It is
+    on the Stieltjes branch only for s above ``upper_edge_g2``."""
+    if not -1.0 / float(h1.atoms[-1]) < g2 < 0.0:
+        raise DomainError(f"g2={g2!r} outside (-1/max H1, 0)")
+    z, k, _ = _InverseMap(c, h1, h2).point(g2)
+    return _finish(c, h1, h2, complex(z), complex(-k / z), complex(g2), iterations=0,
+                   residual=_residual(c, h1, h2, z, -k / z, g2))
+
+
+def upper_edge_g2(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure) -> float:
+    """g2 = s* at the upper bulk edge, where dz/ds changes sign on
+    (-1/max H1, 0); the detectability threshold of a spike is -1/s*."""
+    return _InverseMap(c, h1, h2).turning_point(upper=True)
+
+
+def find_bulk_edges(c: float, h1: DiscreteMeasure,
+                    h2: DiscreteMeasure) -> tuple[float, float]:
+    """Lower and upper edges of the hull of the continuous bulk.
+
+    Both are turning points of the inverse map z(s).  The upper edge is its
+    minimum over g2 = s in (-1/max H1, 0).  The lower edge is its maximum
+    below the smallest positive pole: over g2 = s < -1/min+ H1 when
+    c H1(0, inf) < H2(0, inf), over g1 = t < -1/min+ H2 when
+    c H1(0, inf) > H2(0, inf) (the point mass at zero is not in the hull),
+    and 0 when the two are equal.  Interior gaps are not reported.
+    """
+    by_g2 = _InverseMap(c, h1, h2)
+    upper = by_g2.point(by_g2.turning_point(upper=True))[0]
+    a, b = float(by_g2.uw.sum()), float(by_g2.vw.sum())
+    if abs(a - b) <= 1e-12 * max(a, b):
+        return 0.0, upper
+    lower_map = by_g2 if a < b else _InverseMap(c, h1, h2, swap=True)
+    return lower_map.point(lower_map.turning_point(upper=False))[0], upper

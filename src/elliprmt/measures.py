@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
+from scipy.special import gammaincinv
 
 from .errors import ConfigError, DomainError
 
@@ -210,14 +211,11 @@ class RadiusLaw:
 
 
 def _quantile_atoms(law: RadiusLaw, n_atoms: int) -> np.ndarray:
-    from scipy import stats
-
+    # scipy.stats' gamma and chi2 ppf, without importing all of scipy.stats
     probs = (np.arange(n_atoms) + 0.5) / n_atoms
     if law.kind == "chi-square":
-        return stats.chi2.ppf(probs, df=law.p)
-    shape = law.p ** 2 / law.nu_p
-    scale = law.nu_p / law.p
-    return stats.gamma.ppf(probs, a=shape, scale=scale)
+        return 2 * gammaincinv(law.p / 2, probs)
+    return gammaincinv(law.p ** 2 / law.nu_p, probs) * (law.nu_p / law.p)
 
 
 def radius_law_to_h2(law: RadiusLaw, n_atoms: int = QUANTILE_ATOMS) -> DiscreteMeasure:

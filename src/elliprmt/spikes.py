@@ -3,22 +3,22 @@
 A population spike alpha above the detectability threshold sends its sample
 eigenvalue to theta = G(alpha), where the location map G is defined
 implicitly by g2(G(alpha)) = -1/alpha on the real axis above the bulk.  The
-same solver derivatives give the spread of the relative deviation
-(lambda - theta)/theta and the squared overlap between population and
-sample spike eigenvectors.
+inverse map of ``lsd.solve_lsd_inverse`` gives theta directly from
+g2 = -1/alpha as the root of one scalar equation, with g1 and g2 exact; the
+threshold is -1/s* with s* the value of g2 at the upper bulk edge.  The
+derivatives of that exact solution give G', the spread of the relative
+deviation (lambda - theta)/theta and the squared overlap between population
+and sample spike eigenvectors.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import brentq
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, DomainError, SubcriticalSpikeError
 from .kernels import kernels_diagonal
-from .lsd import derivatives, find_bulk_edges, solve_lsd_real
+from .lsd import derivatives, solve_lsd_inverse, upper_edge_g2
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "goe_covariance_profile",
     "predict_spike",
 ]
-
-_ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,64 +44,39 @@ class SpikePrediction:
     light_tail: bool
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "theta": self.theta,
-            "g_prime": self.g_prime,
-            "sigma_delta_sq": self.sigma_delta_sq,
-            "overlap_sq": self.overlap_sq,
-            "light_tail": self.light_tail,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _upper_edge(c, h1, h2) -> float:
-    return find_bulk_edges(c, h1, h2)[1]
+def _locate(c, h1_nonspiked, h2, alpha, edge):
+    """theta, G'(alpha) and the z-derivatives of the exact solution at theta."""
+    if alpha <= 0:
+        raise DomainError("spike alpha must be positive")
+    if alpha > float(h1_nonspiked.atoms[-1]):
+        sol = solve_lsd_inverse(c, h1_nonspiked, h2, -1.0 / alpha)
+        der = derivatives(sol, c, h1_nonspiked, h2)
+        theta, g_prime = sol.z.real, 1.0 / (alpha ** 2 * der.g2p.real)
+        if g_prime > 0 and (edge is None or theta > edge):
+            return float(theta), float(g_prime), der
+    threshold = -1.0 / upper_edge_g2(c, h1_nonspiked, h2)
+    raise SubcriticalSpikeError(
+        f"spike alpha={alpha} is not above the detectability threshold "
+        f"{threshold:.6g}; its sample eigenvalue sticks to the bulk", threshold=threshold)
 
 
 def transition(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
                alpha: float, edge: float | None = None) -> tuple[float, float]:
-    """Spike location theta and map derivative G'(alpha).
+    """Spike location theta = z(-1/alpha) by the inverse map, and
+    G'(alpha) = 1/(alpha^2 g2'(theta)) by implicit differentiation.
 
-    theta solves g2(theta) = -1/alpha by bracketed root finding above the
-    bulk edge; G'(alpha) = 1/(alpha^2 g2'(theta)) by implicit
-    differentiation, avoiding finite differences on the root finder.  H1
-    here is the non-spiked population spectrum (spikes zeroed, all p
-    eigenvalues kept).
+    ``SubcriticalSpikeError`` unless alpha > max H1 and G' > 0, i.e. alpha
+    above the threshold -1/s* of ``upper_edge_g2``; a given ``edge`` only
+    adds the guard theta > edge.  H1 is the non-spiked population spectrum
+    (spikes zeroed, all p eigenvalues kept).
     """
-    if alpha <= 0:
-        raise DomainError("spike alpha must be positive")
-    if edge is None:
-        edge = _upper_edge(c, h1_nonspiked, h2)
-    lo = edge * (1.0 + 1e-6)
-    g2_edge = solve_lsd_real(c, h1_nonspiked, h2, lo).g2.real
-    if g2_edge + 1.0 / alpha >= 0:
-        threshold = -1.0 / g2_edge if g2_edge < 0 else np.inf
-        raise SubcriticalSpikeError(
-            f"spike alpha={alpha} is below the detectability threshold "
-            f"(~{threshold:.6g}); its sample eigenvalue sticks to the bulk",
-            threshold=float(threshold))
-    hi = edge * 10.0 + alpha * 10.0
-
-    def f(x: float) -> float:
-        return solve_lsd_real(c, h1_nonspiked, h2, x).g2.real + 1.0 / alpha
-
-    if f(hi) <= 0:  # pathological; widen until the resolvent decay wins
-        while f(hi) <= 0:
-            hi *= 4.0
-    theta = brentq(f, lo, hi, xtol=_ROOT_TOL, rtol=8.882e-16)
-    sol = solve_lsd_real(c, h1_nonspiked, h2, theta)
-    der = derivatives(sol, c, h1_nonspiked, h2)
-    g2p = der.g2p.real
-    g_prime = 1.0 / (alpha ** 2 * g2p)
-    if g_prime <= 0:
-        raise SubcriticalSpikeError(
-            f"location map is not increasing at alpha={alpha} "
-            f"(G'={g_prime:.3e}); spike not detectable",
-            threshold=float(-1.0 / g2_edge))
-    return float(theta), float(g_prime)
+    return _locate(c, h1_nonspiked, h2, alpha, edge)[:2]
 
 
 def sigma_delta_sq(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
@@ -114,40 +87,25 @@ def sigma_delta_sq(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
     with mu the companion transform; the second term vanishes and the first
     reduces to 2/(mu'(theta) theta^2) in the light-tail regime.
     """
-    theta, _ = transition(c, h1_nonspiked, h2, alpha, edge=edge)
-    return _sigma_delta_sq_at(c, h1_nonspiked, h2, theta)
-
-
-def _sigma_delta_sq_at(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
-                       theta: float) -> float:
-    """sigma_Delta^2 at a spike location theta already found by ``transition``."""
-    sol = solve_lsd_real(c, h1_nonspiked, h2, theta)
-    der = derivatives(sol, c, h1_nonspiked, h2)
-    term1 = 2.0 * der.zg2_p / (der.zmu_p * der.g2p * theta ** 2)
-    term2 = der.mu_over_g2_p / der.g1p
-    return float((term1 + term2).real)
+    return predict_spike(c, h1_nonspiked, h2, alpha, edge=edge).sigma_delta_sq
 
 
 def overlap_sq(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
                alpha: float, edge: float | None = None) -> float:
     """Almost-sure limit of the squared population/sample eigenvector overlap:
     G'(alpha) / (G(alpha)/alpha)."""
-    theta, g_prime = transition(c, h1_nonspiked, h2, alpha, edge=edge)
-    return float(g_prime / (theta / alpha))
+    return predict_spike(c, h1_nonspiked, h2, alpha, edge=edge).overlap_sq
 
 
 def predict_spike(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
                   alpha: float, edge: float | None = None) -> SpikePrediction:
     """Bundle theta, G', sigma_Delta^2 and the overlap limit for one spike."""
-    if edge is None:
-        edge = _upper_edge(c, h1_nonspiked, h2)
-    theta, g_prime = transition(c, h1_nonspiked, h2, alpha, edge=edge)
-    sdsq = _sigma_delta_sq_at(c, h1_nonspiked, h2, theta)
-    light = h2.is_point_mass_at(1.0, tol=1e-12)
+    theta, g_prime, der = _locate(c, h1_nonspiked, h2, alpha, edge)
+    sdsq = 2.0 * der.zg2_p / (der.zmu_p * der.g2p * theta ** 2) + der.mu_over_g2_p / der.g1p
     return SpikePrediction(alpha=float(alpha), theta=theta, g_prime=g_prime,
-                           sigma_delta_sq=sdsq,
+                           sigma_delta_sq=float(sdsq.real),
                            overlap_sq=float(g_prime / (theta / alpha)),
-                           light_tail=bool(light))
+                           light_tail=h2.is_point_mass_at(1.0, tol=1e-12))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 import threading
@@ -335,3 +336,44 @@ def test_every_kind_deterministic_across_jobs(kind):
     assert a.failures == 0
     assert a.records_csv() == b.records_csv()
     assert json.dumps(a.summary, sort_keys=True) == json.dumps(b.summary, sort_keys=True)
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        for v in node.values():
+            yield from _numbers(v)
+    elif isinstance(node, (list, tuple)):
+        for v in node:
+            yield from _numbers(v)
+    elif isinstance(node, float):
+        yield node
+
+
+@pytest.mark.parametrize("kind", ["bilinear-as", "bilinear-clt", "eigvec-overlap"])
+def test_one_failed_replicate_keeps_summary_finite(kind, monkeypatch):
+    build_scm = experiments.build_scm
+    calls = itertools.count()
+
+    def flaky(*args, **kwargs):
+        if next(calls) == 2:
+            raise RuntimeError("injected failure")
+        return build_scm(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_scm", flaky)
+    cfg = ExperimentConfig.from_dict({"kind": kind, **_SMALL, **_KIND_CONFIGS[kind],
+                                      "reps": 12})
+    res = run_experiment(cfg, jobs=1)
+    assert res.failures == 1
+    assert res.summary["failures"] == 1
+    values = list(_numbers(res.summary))
+    assert values and all(np.isfinite(values))
+    if kind == "bilinear-clt":
+        assert "cross_cov_z0_z1" in res.summary
+        return
+    # the standard errors divide by the 11 finite rows, not by reps
+    if kind == "bilinear-as":
+        se, rows = res.summary["se"], res.records
+    else:
+        se, rows = res.summary["per_p"][0]["se"], res.records[:12, 1:2]
+    want = np.nanstd(rows, axis=0, ddof=1) / np.sqrt(11)
+    assert np.allclose(se, want, rtol=1e-12)

@@ -8,6 +8,7 @@ from elliprmt.lsd import (derivatives, find_bulk_edges, outer_support_bracket,
                           solve_lsd, solve_lsd_point, solve_lsd_real,
                           stieltjes_invert)
 from elliprmt.measures import DiscreteMeasure, RadiusLaw, radius_law_to_h2
+from elliprmt.sampler import PopulationSpec, nonspiked_spectrum_measure
 
 D1 = DiscreteMeasure.point_mass(1.0)
 D0 = DiscreteMeasure.point_mass(0.0)
@@ -243,6 +244,62 @@ def test_outer_bracket_contains_edges():
         lo0, hi0 = outer_support_bracket(c, D1, h2)
         lo, hi = find_bulk_edges(c, D1, h2)
         assert lo0 - 1e-3 <= lo and hi <= hi0 + 1e-3
+
+
+# H1 = delta_1 throughout.  With H2 = {0, sqrt 2} at 1/2 each the SCM is
+# sqrt(2) S1 with S1 a light-tail SCM at aspect 2c (the binomial column count
+# does not move the limit), so its edges are (1 -+ sqrt(2c))^2 / sqrt(2).
+EDGE_CLOSED_FORMS = [
+    (0.25, H2_HEAVY, (1 - np.sqrt(0.5)) ** 2 / np.sqrt(2), (1 + np.sqrt(0.5)) ** 2 / np.sqrt(2)),
+    (0.5, H2_HEAVY, 0.0, 2 * np.sqrt(2)),        # effective aspect 1
+    (2.0, H2_HEAVY, 1 / np.sqrt(2), 9 / np.sqrt(2)),
+    (0.5, D1, (1 - np.sqrt(0.5)) ** 2, (1 + np.sqrt(0.5)) ** 2),
+    (2.0, D1, (1 - np.sqrt(2)) ** 2, (1 + np.sqrt(2)) ** 2),
+    (1.0, D1, 0.0, 4.0),
+]
+
+
+@pytest.mark.parametrize("c, h2, lower, upper", EDGE_CLOSED_FORMS)
+def test_bulk_edges_closed_forms(c, h2, lower, upper):
+    lo, hi = find_bulk_edges(c, D1, h2)
+    assert abs(lo - lower) < 1e-9
+    assert abs(hi - upper) < 1e-9
+
+
+def test_lower_edge_two_point_nu_p_brackets_real_solver():
+    h2 = radius_law_to_h2(RadiusLaw("two-point", 200, 200.0))
+    lo, _ = find_bulk_edges(0.5, D1, h2)
+    assert abs(lo - 0.0852699) < 1e-6
+    sol = solve_lsd_real(0.5, D1, h2, lo * (1 - 1e-4))
+    assert sol.residual < 1e-10
+    with pytest.raises(DomainError, match="inside the bulk"):
+        solve_lsd_real(0.5, D1, h2, lo * (1 + 1e-3))
+
+
+def _scaled_density(c, h1, h2, x):
+    """x Im m(x + i eps)/pi at eps = 1e-6 x: a density contrast that stays
+    meaningful for edges far below solve_lsd_real's first offset 1e-3."""
+    return x * solve_lsd(c, h1, h2, complex(x, 1e-6 * x)).m.imag / np.pi
+
+
+def _uniform_bulk():
+    return nonspiked_spectrum_measure(
+        PopulationSpec(p=200, spikes=(8.0,), bulk="uniform", bulk_seed=7))
+
+
+@pytest.mark.parametrize("c, h1, h2", [
+    (0.5, "uniform", "deterministic"),
+    (0.5, "uniform", "gamma"),
+    (2.0, "delta1", "gamma"),
+])
+def test_small_edges_density_contrast(c, h1, h2):
+    h1 = _uniform_bulk() if h1 == "uniform" else D1
+    h2 = D1 if h2 == "deterministic" else radius_law_to_h2(RadiusLaw("gamma", 200, 200.0 ** 2))
+    lo, hi = find_bulk_edges(c, h1, h2)
+    assert 0 < lo < 1e-2
+    for edge, out in ((lo, -1), (hi, 1)):
+        assert _scaled_density(c, h1, h2, edge * (1 + out * 1e-3)) < 2e-5
+        assert _scaled_density(c, h1, h2, edge * (1 - out * 1e-3)) > 5e-4
 
 
 def test_solution_json_round_trip():

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elliprmt.errors import ConfigError, DomainError, SubcriticalSpikeError
-from elliprmt.lsd import find_bulk_edges, solve_lsd_real
-from elliprmt.measures import DiscreteMeasure
+from elliprmt.lsd import find_bulk_edges, solve_lsd_real, upper_edge_g2
+from elliprmt.measures import DiscreteMeasure, RadiusLaw, radius_law_to_h2
 from elliprmt.spikes import (goe_covariance_profile, overlap_sq, predict_spike,
                              sigma_delta_sq, transition)
 
@@ -160,3 +162,54 @@ def test_spike_variance_consistency_with_goe_profile():
     g2p = derivatives(sol, C, D1, H2_HEAVY).g2p.real
     expect = prof.sigma11_sq / (C * theta ** 4 * g2p ** 2)
     assert abs(sigma_delta_sq(C, D1, H2_HEAVY, alpha) - expect) < 1e-8
+
+
+@pytest.mark.parametrize("c", [0.25, 0.5, 2.0])
+def test_threshold_is_exact_for_marchenko_pastur(c):
+    with pytest.raises(SubcriticalSpikeError) as err:
+        transition(c, D1, D1, 1.0 + 0.5 * np.sqrt(c))
+    assert abs(err.value.threshold - (1 + np.sqrt(c))) < 1e-9
+
+
+def test_threshold_gamma_radius_law():
+    h2 = radius_law_to_h2(RadiusLaw("gamma", 200, 200.0 ** 2))
+    with pytest.raises(SubcriticalSpikeError) as err:
+        transition(2.0, D1, h2, 8.0)
+    assert abs(err.value.threshold - 8.4316) < 1e-4
+    transition(2.0, D1, h2, err.value.threshold * (1 + 1e-6))
+
+
+def test_edge_argument_only_guards():
+    theta, gp = transition(C, D1, D1, 8.0)
+    assert transition(C, D1, D1, 8.0, edge=theta * 0.5) == (theta, gp)
+    with pytest.raises(SubcriticalSpikeError):
+        transition(C, D1, D1, 8.0, edge=theta)
+
+
+def _measures():
+    """Discrete laws with 1 to 5 positive atoms."""
+    atoms = st.lists(st.floats(0.05, 20.0), min_size=1, max_size=5, unique=True)
+    return atoms.flatmap(lambda xs: st.lists(
+        st.floats(0.05, 1.0), min_size=len(xs), max_size=len(xs)).map(
+        lambda ws: DiscreteMeasure(np.array(xs), np.array(ws) / np.sum(ws))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(c=st.floats(0.1, 4.0), h1=_measures(), h2=_measures(),
+       lift=st.floats(0.05, 3.0))
+def test_inverse_map_properties(c, h1, h2, lift):
+    upper = find_bulk_edges(c, h1, h2)[1]
+    threshold = -1.0 / upper_edge_g2(c, h1, h2)
+    with pytest.raises(SubcriticalSpikeError):
+        transition(c, h1, h2, threshold * (1 - 1e-6))
+    transition(c, h1, h2, threshold * (1 + 1e-6))
+
+    alpha = threshold * (1.0 + lift)
+    theta, gp = transition(c, h1, h2, alpha)
+    assert upper <= theta
+    g2 = solve_lsd_real(c, h1, h2, theta).g2.real
+    assert abs(g2 * alpha + 1.0) < 1e-10
+    h = 1e-5 * alpha
+    central = (transition(c, h1, h2, alpha + h)[0]
+               - transition(c, h1, h2, alpha - h)[0]) / (2 * h)
+    assert abs(central - gp) < 1e-5 * max(1.0, gp)
