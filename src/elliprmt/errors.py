@@ -25,13 +25,15 @@ class PoleError(DomainError):
 
 
 class ConvergenceError(ElliprmtError):
-    """Iterative scheme failed to reach its tolerance."""
+    """Iterative scheme failed to reach its tolerance; ``index`` is the
+    position of the first failed node of a batched solve, when known."""
 
     def __init__(self, message: str, residual: float | None = None,
-                 iterations: int | None = None):
+                 iterations: int | None = None, index: int | None = None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.index = index
 
 
 class SubcriticalSpikeError(ElliprmtError):

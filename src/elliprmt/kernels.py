@@ -6,7 +6,9 @@ covariance factorizes through three scalar kernels (h1, h2 and the mixing
 factor d) times population-side functionals of (I + g2 Sigma)^{-1}.  This
 module evaluates those kernels from solver output, their coincident-point
 limits, and the double contour integral giving the covariance of
-eigenvector statistics.
+eigenvector statistics.  The contour quadratures solve all of their nodes
+in one call of the batched solver and evaluate the test functions zeta
+once on the node array, so a zeta must accept an array of z.
 """
 
 from __future__ import annotations
@@ -284,29 +286,16 @@ def _contour_nodes(spec: ContourSpec, quad_n: int) -> tuple[np.ndarray, np.ndarr
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _upper_init(sol: LsdSolution):
-    """Warm-start state in upper-half-plane representation."""
-    if sol.z.imag < 0:
-        return (sol.g1.conjugate(), sol.g2.conjugate())
-    return (sol.g1, sol.g2)
-
-
 def _solve_contour(c, h1, h2, nodes, tol):
-    """Solutions and derivatives along a node list, warm-started in order."""
-    g1 = np.empty(nodes.size, dtype=np.complex128)
-    g2 = np.empty_like(g1)
-    mu = np.empty_like(g1)
-    g1p = np.empty_like(g1)
-    g2p = np.empty_like(g1)
-    mup = np.empty_like(g1)
-    init = None
-    for i, z in enumerate(nodes):
-        sol = solve_lsd_point(c, h1, h2, z, tol=tol, init=init)
-        init = _upper_init(sol)
-        der = derivatives(sol, c, h1, h2)
-        g1[i], g2[i], mu[i] = sol.g1, sol.g2, sol.m_under
-        g1p[i], g2p[i], mup[i] = der.g1p, der.g2p, der.m_under_p
-    return g1, g2, mu, g1p, g2p, mup
+    """Solutions and derivatives at every node, in one batched solve."""
+    sol = solve_lsd_point(c, h1, h2, nodes, tol=tol)
+    der = derivatives(sol, c, h1, h2)
+    return sol.g1, sol.g2, sol.m_under, der.g1p, der.g2p, der.m_under_p
+
+
+def _on_nodes(zeta, nodes: np.ndarray) -> np.ndarray:
+    """zeta evaluated on the node array at once (zeta must broadcast)."""
+    return np.broadcast_to(np.asarray(zeta(nodes), dtype=np.complex128), nodes.shape)
 
 
 def _varpi_matrix(c, vals1, vals2, z1, z2, evals, weights_pi):
@@ -345,7 +334,8 @@ def eigvec_stat_cov(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
     Evaluates -(2 pi i)^{-2} times the double contour integral of
     zeta_t(z1) zeta_s(z2) varpi(z1, z2) over two nested counterclockwise
     rectangles (outer/inner offset by ``separation``), by per-side trapezoid
-    quadrature with ``quad_n`` nodes per side.
+    quadrature with ``quad_n`` nodes per side.  ``zeta_t`` and ``zeta_s``
+    are called once each, on the array of nodes.
     """
     if contour is None:
         contour = default_contour(c, h1, h2)
@@ -359,9 +349,8 @@ def eigvec_stat_cov(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
     vals1 = _solve_contour(c, h1, h2, nodes1, tol)
     vals2 = _solve_contour(c, h1, h2, nodes2, tol)
     varpi = _varpi_matrix(c, vals1, vals2, nodes1, nodes2, evals, wpi)
-    zt = np.array([complex(zeta_t(z)) for z in nodes1])
-    zs = np.array([complex(zeta_s(z)) for z in nodes2])
-    integral = np.einsum("i,j,ij->", w1 * zt, w2 * zs, varpi)
+    integral = np.einsum("i,j,ij->", w1 * _on_nodes(zeta_t, nodes1),
+                         w2 * _on_nodes(zeta_s, nodes2), varpi)
     value = integral / (2.0j * np.pi) ** 2
     if abs(value.imag) > 1e-4 * max(1.0, abs(value.real)):
         raise DomainError(
@@ -378,7 +367,8 @@ def contour_moment(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
     Uses int zeta dF = -(2 pi i)^{-1} oint zeta(z) s(z) dz with
     s(z) = -z^{-1} pi^T (I + g2(z) Sigma)^{-1} pi.  The constant part of
     zeta is split off and integrated exactly (the law has total mass one),
-    so a constant zeta returns exactly zeta(0).
+    so a constant zeta returns exactly zeta(0).  ``zeta`` is called on 0.0
+    and once on the array of nodes.
     """
     if contour is None:
         contour = default_contour(c, h1, h2)
@@ -387,13 +377,9 @@ def contour_moment(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
     wpi = proj ** 2
     nodes, w = _contour_nodes(contour, quad_n)
     base = complex(zeta(0.0))
-    init = None
-    total = 0.0 + 0.0j
-    for z, wz in zip(nodes, w):
-        sol = solve_lsd_point(c, h1, h2, z, tol=tol, init=init)
-        init = _upper_init(sol)
-        s = -np.sum(wpi / (1.0 + sol.g2 * evals)) / z
-        total += wz * (complex(zeta(z)) - base) * s
+    g2 = solve_lsd_point(c, h1, h2, nodes, tol=tol).g2
+    s = -np.sum(wpi / (1.0 + g2[:, None] * evals), axis=1) / nodes
+    total = np.sum(w * (_on_nodes(zeta, nodes) - base) * s)
     value = base - total / (2.0j * np.pi)
     return float(value.real)
 

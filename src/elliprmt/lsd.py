@@ -8,9 +8,15 @@ For aspect ratio c and input laws H1 (population spectrum) and H2
 
 and the Stieltjes transform of the limit law follows as
 ``m(z) = -z^{-1} int (1 + g2(z) x)^{-1} dH1(x)`` with companion
-``m_under(z) = -(1-c)/z + c m(z) = -1/z - g1 g2``.  Off the real axis the
-solver iterates a damped alternation (globally stable for Im z bounded away
-from 0) and falls back to Newton on the 2x2 complex system.
+``m_under(z) = -(1-c)/z + c m(z) = -1/z - g1 g2``.  Off the real axis
+``solve_lsd`` iterates a damped alternation (globally stable for Im z
+bounded away from 0) and falls back to Newton on the 2x2 complex system.
+It takes one z or an array of z: every node runs the same iteration under
+its own convergence mask, the integrals over the atoms of H1 and H2 become
+(nodes, atoms) array operations, and a node in the lower half plane is
+solved at its conjugate (Dobriban 2015 and Ledoit & Wolf's QuEST 2017
+vectorise the limit-spectrum solve over the evaluation grid the same way).
+Contours and inversion grids are therefore one call each.
 
 On the real axis outside the bulk the system inverts along one coordinate
 (Silverstein & Choi 1995; Couillet & Hachem 2014 for separable models such
@@ -51,29 +57,38 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
 _DAMPING = 0.5
 _NEWTON_AFTER = 200
+_NEWTON_AFTER_WARM = 5
 _EPS_LADDER = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 
 @dataclass(frozen=True)
 class LsdSolution:
-    """Solution of the coupled system at one point z."""
+    """Solution of the coupled system at one point z, or at an array of z.
 
-    z: complex
-    g1: complex
-    g2: complex
-    m: complex
-    m_under: complex
+    For an array z the complex fields are arrays of its shape,
+    ``iterations`` is the total over the nodes and ``residual`` the largest.
+    """
+
+    z: complex | np.ndarray
+    g1: complex | np.ndarray
+    g2: complex | np.ndarray
+    m: complex | np.ndarray
+    m_under: complex | np.ndarray
     iterations: int
     residual: float
     trivial: bool = False
 
     def to_dict(self) -> dict:
+        def pair(v):
+            v = np.asarray(v)
+            return [v.real.tolist(), v.imag.tolist()]
+
         return {
-            "z": [self.z.real, self.z.imag],
-            "g1": [self.g1.real, self.g1.imag],
-            "g2": [self.g2.real, self.g2.imag],
-            "m": [self.m.real, self.m.imag],
-            "m_under": [self.m_under.real, self.m_under.imag],
+            "z": pair(self.z),
+            "g1": pair(self.g1),
+            "g2": pair(self.g2),
+            "m": pair(self.m),
+            "m_under": pair(self.m_under),
             "iterations": self.iterations,
             "residual": self.residual,
             "trivial": self.trivial,
@@ -85,14 +100,15 @@ class LsdSolution:
 
 @dataclass(frozen=True)
 class LsdDerivatives:
-    """First z-derivatives of a solution plus the composite expressions."""
+    """First z-derivatives of a solution plus the composite expressions
+    (arrays when the solution holds an array of z)."""
 
-    g1p: complex
-    g2p: complex
-    m_under_p: complex
-    zg2_p: complex        # (z g2)'
-    zmu_p: complex        # (z m_under)'
-    mu_over_g2_p: complex  # (m_under / g2)'
+    g1p: complex | np.ndarray
+    g2p: complex | np.ndarray
+    m_under_p: complex | np.ndarray
+    zg2_p: complex | np.ndarray        # (z g2)'
+    zmu_p: complex | np.ndarray        # (z m_under)'
+    mu_over_g2_p: complex | np.ndarray  # (m_under / g2)'
 
 
 def _check_law(mu: DiscreteMeasure, name: str) -> None:
@@ -101,135 +117,194 @@ def _check_law(mu: DiscreteMeasure, name: str) -> None:
                           f"smallest atom is {float(mu.atoms[0])!r}")
 
 
-def _h1_mean_inv(h1: DiscreteMeasure, g2: complex) -> complex:
-    return complex(np.sum(h1.weights / (1.0 + g2 * h1.atoms)))
+def _int(mu: DiscreteMeasure, g, power: int = 1):
+    """int t^power / (1 + g t)^power dmu(t), elementwise in g; the sum over
+    the atoms runs along the last axis of a (g.shape, atoms) array.  One g
+    gives a Python number, so scalar callers keep Python arithmetic."""
+    d = 1.0 + np.multiply.outer(g, mu.atoms)
+    if power == 1:
+        total = (mu.weights * mu.atoms / d).sum(axis=-1)
+    else:
+        total = (mu.weights * mu.atoms ** 2 / d ** 2).sum(axis=-1)
+    return total if total.ndim else total.item()
 
 
-def _int_x(h1: DiscreteMeasure, g2: complex) -> complex:
-    return complex(np.sum(h1.weights * h1.atoms / (1.0 + g2 * h1.atoms)))
+def _mean_inv(mu: DiscreteMeasure, g):
+    """int 1 / (1 + g t) dmu(t), elementwise in g, like ``_int``."""
+    total = (mu.weights / (1.0 + np.multiply.outer(g, mu.atoms))).sum(axis=-1)
+    return total if total.ndim else total.item()
 
 
-def _int_y(h2: DiscreteMeasure, g1: complex) -> complex:
-    return complex(np.sum(h2.weights * h2.atoms / (1.0 + g1 * h2.atoms)))
+def _first(mask) -> int | None:
+    """Index of the first true entry of a flag or flag array, or None."""
+    if isinstance(mask, bool):
+        return 0 if mask else None
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
-def _int_x2(h1: DiscreteMeasure, g2: complex) -> complex:
-    return complex(np.sum(h1.weights * h1.atoms ** 2 / (1.0 + g2 * h1.atoms) ** 2))
+def _state(c, h1, z, g1, g2, iy):
+    """A = int x/(1 + g2 x) dH1, the residuals r1 = z g1 + c A and
+    r2 = z g2 + iy, and max(|r1|, |r2|), given iy = int y/(1 + g1 y) dH2."""
+    ix = _int(h1, g2)
+    r1, r2 = z * g1 + c * ix, z * g2 + iy
+    return ix, r1, r2, np.maximum(abs(r1), abs(r2))
 
 
-def _int_y2(h2: DiscreteMeasure, g1: complex) -> complex:
-    return complex(np.sum(h2.weights * h2.atoms ** 2 / (1.0 + g1 * h2.atoms) ** 2))
+def _residual(c, h1, h2, z, g1, g2):
+    return _state(c, h1, z, g1, g2, _int(h2, g1))[3]
 
 
-def _residual(c, h1, h2, z, g1, g2) -> float:
-    r1 = z * g1 + c * _int_x(h1, g2)
-    r2 = z * g2 + _int_y(h2, g1)
-    return max(abs(r1), abs(r2))
-
-
-def _finish(c, h1, h2, z, g1, g2, iterations, residual, trivial=False) -> LsdSolution:
-    m = -_h1_mean_inv(h1, g2) / z
+def _finish(c, h1, z, g1, g2, iterations, residual, trivial=False) -> LsdSolution:
+    """The solution at (z, g1, g2); one z gives complex fields."""
+    m = -_mean_inv(h1, g2) / z
     m_under = -(1.0 - c) / z + c * m
-    return LsdSolution(z=complex(z), g1=complex(g1), g2=complex(g2), m=complex(m),
-                       m_under=complex(m_under), iterations=iterations,
-                       residual=float(residual), trivial=trivial)
+    if not isinstance(z, np.ndarray):
+        z, g1, g2, m, m_under = map(complex, (z, g1, g2, m, m_under))
+    return LsdSolution(z=z, g1=g1, g2=g2, m=m, m_under=m_under,
+                       iterations=int(iterations), residual=float(residual),
+                       trivial=trivial)
 
 
-def _newton_step(c, h1, h2, z, g1, g2):
-    """One guarded Newton step on F = (z g1 + c A(g2), z g2 + B(g1))."""
-    f1 = z * g1 + c * _int_x(h1, g2)
-    f2 = z * g2 + _int_y(h2, g1)
-    i1 = _int_x2(h1, g2)
-    i2 = _int_y2(h2, g1)
+def _newton_step(c, h1, h2, z, g1, g2, r1, r2):
+    """One Newton step on F = (z g1 + c A(g2), z g2 + B(g1)) = (r1, r2), NaN
+    where the Jacobian [[z, -c I1], [-I2, z]] is numerically singular."""
+    i1 = _int(h1, g2, 2)
+    i2 = _int(h2, g1, 2)
     det = z * z - c * i1 * i2
-    if abs(det) < 1e-300:
-        return None
-    # J = [[z, -c i1], [-i2, z]]; solve J delta = -F
-    d1 = (-f1 * z - c * i1 * f2) / det
-    d2 = (-f2 * z - i2 * f1) / det
-    return g1 + d1, g2 + d2
+    det = np.where(np.abs(det) < 1e-300, np.nan, det)
+    return g1 + (-r1 * z - c * i1 * r2) / det, g2 + (-r2 * z - i2 * r1) / det
 
 
-def solve_lsd(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, z: complex,
-              tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-              init: tuple[complex, complex] | None = None) -> LsdSolution:
-    """Solve the coupled system at a point z with Im z > 0.
-
-    Damped alternation (damping 0.5) initialized at g1 = g2 = -1/z, with a
-    Newton fallback on the 2x2 system once the alternation has had 200
-    iterations (immediately when a warm start ``init`` is supplied).  The
-    degenerate inputs H1 = delta_0 or H2 = delta_0 short-circuit to the
-    point-mass law with m = -1/z.
+def _iterate(c, h1, h2, z, g1, g2, tol, max_iter, newton_after):
+    """Damped alternation with guarded Newton at every node of a 1-D z with
+    Im z > 0, from (g1, g2).  A node leaves the working set once its
+    residual is below ``tol``; Newton is tried once a node has run
+    ``newton_after`` iterations and kept only where it lowers the residual.
+    Returns final (g1, g2, residual, iterations) per node, with
+    iterations = -1 where ``max_iter`` ran out first.
     """
-    if not (0 < tol <= 1e-6):
-        raise DomainError("tol must lie in (0, 1e-6]")
-    if c <= 0:
-        raise DomainError("aspect ratio c must be positive")
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("solve_lsd needs Im z > 0; use solve_lsd_real on the real axis")
-    _check_law(h1, "H1")
-    _check_law(h2, "H2")
-
-    if h1.is_point_mass_at(0.0) or h2.is_point_mass_at(0.0):
-        if h1.is_point_mass_at(0.0):
-            g1 = 0.0 + 0.0j
-            g2 = -_int_y(h2, g1) / z
-        else:
-            g2 = 0.0 + 0.0j
-            g1 = -c * _int_x(h1, g2) / z
-        return _finish(c, h1, h2, z, g1, g2, iterations=0, residual=0.0, trivial=True)
-
-    for attempt in range(2):
-        if init is None or attempt == 1:
-            g1 = g2 = -1.0 / z
-            newton_after = _NEWTON_AFTER
-        else:
-            g1, g2 = complex(init[0]), complex(init[1])
-            newton_after = 5
-        res = _residual(c, h1, h2, z, g1, g2)
-        sol = None
-        for it in range(1, max_iter + 1):
-            if res < tol:
-                sol = _finish(c, h1, h2, z, g1, g2, iterations=it - 1, residual=res)
-                break
-            if it > newton_after:
-                step = _newton_step(c, h1, h2, z, g1, g2)
-                if step is not None:
-                    n1, n2 = step
-                    if np.isfinite(n1) and np.isfinite(n2):
-                        new_res = _residual(c, h1, h2, z, n1, n2)
-                        if new_res < res:
-                            g1, g2, res = n1, n2, new_res
-                            continue
-            g1 = (1 - _DAMPING) * g1 + _DAMPING * (-c * _int_x(h1, g2) / z)
-            g2 = (1 - _DAMPING) * g2 + _DAMPING * (-_int_y(h2, g1) / z)
-            res = _residual(c, h1, h2, z, g1, g2)
-        if sol is None:
-            raise ConvergenceError(
-                f"fixed-point iteration did not reach tol={tol} at z={z} "
-                f"(last residual {res:.3e})", residual=res, iterations=max_iter)
-        if _in_uniqueness_set(sol):
-            return sol
-        if init is None:
-            break  # cold start already landed outside U; no second chance
-    raise ConvergenceError(
-        f"converged to a point outside the uniqueness set at z={z} "
-        f"(m={sol.m!r}, g2={sol.g2!r})", residual=sol.residual,
-        iterations=sol.iterations)
+    out_g1, out_g2 = np.empty_like(z), np.empty_like(z)
+    out_res, out_it = np.empty(z.size), np.full(z.size, -1)
+    idx = np.arange(z.size)
+    ix, r1, r2, res = _state(c, h1, z, g1, g2, _int(h2, g1))
+    for it in range(1, max_iter + 1):
+        done = res < tol
+        if done.any():
+            k = idx[done]
+            out_g1[k], out_g2[k], out_res[k], out_it[k] = g1[done], g2[done], res[done], it - 1
+            idx, z, g1, g2, ix, r1, r2, res = (
+                a[~done] for a in (idx, z, g1, g2, ix, r1, r2, res))
+        if idx.size == 0:
+            break
+        n1 = (1 - _DAMPING) * g1 + _DAMPING * (-c * ix / z)
+        iy = _int(h2, n1)
+        n2 = (1 - _DAMPING) * g2 + _DAMPING * (-iy / z)
+        new = (n1, n2, *_state(c, h1, z, n1, n2, iy))
+        if it > newton_after:
+            t1, t2 = _newton_step(c, h1, h2, z, g1, g2, r1, r2)
+            newton = (t1, t2, *_state(c, h1, z, t1, t2, _int(h2, t1)))
+            take = np.isfinite(t1) & np.isfinite(t2) & (newton[-1] < res)
+            new = tuple(np.where(take, a, b) for a, b in zip(newton, new))
+        g1, g2, ix, r1, r2, res = new
+    out_g1[idx], out_g2[idx], out_res[idx] = g1, g2, res
+    return out_g1, out_g2, out_res, out_it
 
 
-def _in_uniqueness_set(sol: LsdSolution) -> bool:
-    """Membership in U = {Im m > 0, Im(z g1) > 0, Im g2 > 0} with slack.
+def _in_uniqueness_set(z, g1, g2, m):
+    """Membership in U = {Im m > 0, Im(z g1) > 0, Im g2 > 0} with slack, per node.
 
     A warm start can drag Newton onto a spurious branch of the system; only
     the branch inside U is the Stieltjes solution.  The slack tolerates
     roundoff at Im z near 0 where the strict inequalities become marginal.
     """
     slack = -1e-9
-    return (sol.m.imag > slack * max(1.0, abs(sol.m))
-            and (sol.z * sol.g1).imag > slack * max(1.0, abs(sol.z * sol.g1))
-            and sol.g2.imag > slack * max(1.0, abs(sol.g2)))
+    zg1 = z * g1
+    return ((m.imag > slack * np.maximum(1.0, np.abs(m)))
+            & (zg1.imag > slack * np.maximum(1.0, np.abs(zg1)))
+            & (g2.imag > slack * np.maximum(1.0, np.abs(g2))))
+
+
+def _node(z: np.ndarray, scalar: bool, i: int) -> str:
+    return f"z={complex(z[i])}" + ("" if scalar else f" (node {i} of {z.size})")
+
+
+def solve_lsd(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, z,
+              tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+              init=None) -> LsdSolution:
+    """Solve the coupled system at one z or at every z of an array, Im z != 0.
+
+    Every node runs a damped alternation (damping 0.5) from g1 = g2 = -1/z
+    with a Newton fallback on the 2x2 system after 200 iterations, or after
+    5 from a warm start ``init = (g1, g2)`` (scalars or arrays shaped like
+    z).  A node with Im z < 0 is solved at its conjugate and conjugated
+    back.  A converged node outside the uniqueness set is solved again
+    from the cold start when it was warm-started, and raises otherwise.  A
+    :class:`ConvergenceError` names the first node that failed in its
+    message and ``index``.  The degenerate inputs H1 = delta_0 or
+    H2 = delta_0 short-circuit to the point-mass law with m = -1/z.
+    """
+    if not (0 < tol <= 1e-6):
+        raise DomainError("tol must lie in (0, 1e-6]")
+    if c <= 0:
+        raise DomainError("aspect ratio c must be positive")
+    scalar = np.ndim(z) == 0
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=np.complex128).ravel()
+    i = _first(z.imag == 0)
+    if i is not None:
+        raise DomainError(f"solve_lsd needs Im z != 0 ({_node(z, scalar, i)}); "
+                          "use solve_lsd_real on the real axis")
+    _check_law(h1, "H1")
+    _check_law(h2, "H2")
+    lower = z.imag < 0
+    zu = np.where(lower, z.conj(), z)
+
+    def flip(v):
+        return np.where(lower, np.conj(v), v)
+
+    trivial = h1.is_point_mass_at(0.0) or h2.is_point_mass_at(0.0)
+    with np.errstate(all="ignore"):
+        if trivial:
+            g1, g2 = -c * _int(h1, 0.0) / zu, -_int(h2, 0.0) / zu
+            its, res = np.zeros(z.size, dtype=int), np.zeros(z.size)
+        else:
+            warm = init is not None
+            if warm:
+                g1, g2 = (flip(np.broadcast_to(np.asarray(v, dtype=np.complex128), shape).ravel())
+                          for v in init)
+            else:
+                g1 = g2 = -1.0 / zu
+            g1, g2, res, its = _iterate(c, h1, h2, zu, g1, g2, tol, max_iter,
+                                        _NEWTON_AFTER_WARM if warm else _NEWTON_AFTER)
+            _raise_unconverged(z, scalar, its, res, tol, max_iter)
+            m = -_mean_inv(h1, g2) / zu
+            out = ~_in_uniqueness_set(zu, g1, g2, m)
+            if warm and out.any():
+                k = np.flatnonzero(out)
+                g1[k], g2[k], res[k], its[k] = _iterate(
+                    c, h1, h2, zu[k], -1.0 / zu[k], -1.0 / zu[k], tol, max_iter, _NEWTON_AFTER)
+                _raise_unconverged(z, scalar, its, res, tol, max_iter)
+                m[k] = -_mean_inv(h1, g2[k]) / zu[k]
+                out[k] = ~_in_uniqueness_set(zu[k], g1[k], g2[k], m[k])
+            i = _first(out)
+            if i is not None:
+                raise ConvergenceError(
+                    f"converged to a point outside the uniqueness set at {_node(z, scalar, i)} "
+                    f"(m={complex(flip(m)[i])!r}, g2={complex(flip(g2)[i])!r})",
+                    residual=float(res[i]), iterations=int(its[i]), index=i)
+        # conjugation commutes with every operation of _finish, so it works at z itself
+        z, g1, g2 = (complex(v[0]) if scalar else v.reshape(shape) for v in (z, flip(g1), flip(g2)))
+        return _finish(c, h1, z, g1, g2, its.sum(), res.max(initial=0.0), trivial)
+
+
+def _raise_unconverged(z, scalar, its, res, tol, max_iter) -> None:
+    i = _first(its < 0)
+    if i is not None:
+        raise ConvergenceError(
+            f"fixed-point iteration did not reach tol={tol} at {_node(z, scalar, i)} "
+            f"(last residual {res[i]:.3e})", residual=float(res[i]), iterations=max_iter,
+            index=i)
 
 
 def _neville_at_zero(ts: np.ndarray, fs: np.ndarray) -> complex:
@@ -259,7 +334,7 @@ def solve_lsd_real(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, x: float,
     _check_law(h2, "H2")
     if h1.is_point_mass_at(0.0) or h2.is_point_mass_at(0.0):
         sol = solve_lsd(c, h1, h2, complex(x, 1e-8), tol=tol, max_iter=max_iter)
-        return _finish(c, h1, h2, complex(x), sol.g1.real, sol.g2.real,
+        return _finish(c, h1, complex(x), sol.g1.real, sol.g2.real,
                        iterations=0, residual=0.0, trivial=True)
 
     total_iters = 0
@@ -280,77 +355,76 @@ def solve_lsd_real(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, x: float,
             f"{max(abs(g1_ext.imag), abs(g2_ext.imag)):.3e})")
 
     g1, g2 = g1_ext.real, g2_ext.real
-    res = _residual(c, h1, h2, x, g1, g2)
+    _, r1, r2, res = _state(c, h1, x, g1, g2, _int(h2, g1))
     for _ in range(100):
         if res < tol:
             break
         if np.any(np.abs(1.0 + g2 * h1.atoms) < 1e-12) or \
            np.any(np.abs(1.0 + g1 * h2.atoms) < 1e-12):
             raise PoleError(f"real-axis continuation hit a pole at x={x}")
-        step = _newton_step(c, h1, h2, float(x), g1, g2)
-        if step is None:
-            break
-        n1, n2 = float(step[0].real), float(step[1].real)
-        new_res = _residual(c, h1, h2, x, n1, n2)
+        n1, n2 = map(float, _newton_step(c, h1, h2, x, g1, g2, r1, r2))
+        _, n_r1, n_r2, new_res = _state(c, h1, x, n1, n2, _int(h2, n1))
         if not np.isfinite(new_res) or new_res >= res:
             break
-        g1, g2, res = n1, n2, new_res
+        g1, g2, r1, r2, res = n1, n2, n_r1, n_r2, new_res
         total_iters += 1
     if res > max(tol, 1e-10):
         raise ConvergenceError(
             f"real-axis polish stalled at x={x} (residual {res:.3e})",
             residual=float(res), iterations=total_iters)
-    return _finish(c, h1, h2, complex(x), complex(g1), complex(g2),
+    return _finish(c, h1, complex(x), complex(g1), complex(g2),
                    iterations=total_iters, residual=res)
 
 
-def solve_lsd_point(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, z: complex,
-                    tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                    init: tuple[complex, complex] | None = None) -> LsdSolution:
-    """Solve anywhere off the bulk: upper half plane, lower (by conjugation),
-    or the real axis outside the support."""
-    z = complex(z)
-    if z.imag > 0:
-        return solve_lsd(c, h1, h2, z, tol=tol, max_iter=max_iter, init=init)
-    if z.imag < 0:
-        conj_init = None if init is None else (init[0].conjugate(), init[1].conjugate())
-        sol = solve_lsd(c, h1, h2, z.conjugate(), tol=tol, max_iter=max_iter, init=conj_init)
-        return LsdSolution(z=z, g1=sol.g1.conjugate(), g2=sol.g2.conjugate(),
-                           m=sol.m.conjugate(), m_under=sol.m_under.conjugate(),
-                           iterations=sol.iterations, residual=sol.residual,
-                           trivial=sol.trivial)
-    return solve_lsd_real(c, h1, h2, z.real, tol=tol, max_iter=max_iter)
+def solve_lsd_point(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, z,
+                    tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> LsdSolution:
+    """Solve anywhere off the bulk: ``solve_lsd`` off the real axis and
+    ``solve_lsd_real`` on it.  An array z may mix the two."""
+    zs = np.asarray(z, dtype=np.complex128)
+    on_axis = zs.imag == 0
+    if not on_axis.any():
+        return solve_lsd(c, h1, h2, z, tol=tol, max_iter=max_iter)
+    if zs.ndim == 0:
+        return solve_lsd_real(c, h1, h2, zs.real, tol=tol, max_iter=max_iter)
+    off = solve_lsd(c, h1, h2, zs[~on_axis], tol=tol, max_iter=max_iter)
+    real = [solve_lsd_real(c, h1, h2, x, tol=tol, max_iter=max_iter) for x in zs.real[on_axis]]
+    fields = {}
+    for name in ("g1", "g2", "m", "m_under"):
+        v = np.empty(zs.shape, dtype=np.complex128)
+        v[~on_axis] = getattr(off, name)
+        v[on_axis] = [getattr(s, name) for s in real]
+        fields[name] = v
+    return LsdSolution(z=zs, **fields, trivial=off.trivial,
+                       iterations=off.iterations + sum(s.iterations for s in real),
+                       residual=max([off.residual] + [s.residual for s in real]))
 
 
 def derivatives(sol: LsdSolution, c: float, h1: DiscreteMeasure,
                 h2: DiscreteMeasure) -> LsdDerivatives:
-    """Exact first derivatives at a converged solution.
+    """Exact first derivatives at a converged solution, node by node.
 
     Differentiating the coupled system in z gives the linear system
     [[z, -c I1], [-I2, z]] (g1', g2')^T = (-g1, -g2)^T with
     I1 = int x^2/(1+g2 x)^2 dH1 and I2 = int y^2/(1+g1 y)^2 dH2; the
     composite expressions follow by product and quotient rules.
     """
-    z, g1, g2 = sol.z, sol.g1, sol.g2
-    i1 = _int_x2(h1, g2)
-    i2 = _int_y2(h2, g1)
+    z, g1, g2, mu = sol.z, sol.g1, sol.g2, sol.m_under
+    i1 = _int(h1, g2, 2)
+    i2 = _int(h2, g1, 2)
     det = z * z - c * i1 * i2
-    if abs(det) < 1e-14 * max(1.0, abs(z) ** 2):
-        raise DomainError(f"derivative system is singular at z={z} (det={det!r})")
+    i = _first((abs(det) < 1e-14) | (abs(det) < 1e-14 * abs(z) ** 2))
+    if i is not None:
+        raise DomainError(f"derivative system is singular at z={complex(np.ravel(z)[i])} "
+                          f"(det={complex(np.ravel(det)[i])!r})")
     g1p = (-g1 * z - c * i1 * g2) / det
     g2p = (-g2 * z - i2 * g1) / det
     mu_p = 1.0 / (z * z) - g1p * g2 - g1 * g2p
-    mu = sol.m_under
-    if abs(g2) < 1e-300:
+    if _first(abs(g2) < 1e-300) is not None:
         raise DomainError("g2 vanishes; quotient derivative undefined")
-    return LsdDerivatives(
-        g1p=g1p,
-        g2p=g2p,
-        m_under_p=mu_p,
-        zg2_p=g2 + z * g2p,
-        zmu_p=mu + z * mu_p,
-        mu_over_g2_p=(mu_p * g2 - mu * g2p) / (g2 * g2),
-    )
+    out = (g1p, g2p, mu_p, g2 + z * g2p, mu + z * mu_p, (mu_p * g2 - mu * g2p) / (g2 * g2))
+    if not isinstance(sol.z, np.ndarray):
+        out = map(complex, out)
+    return LsdDerivatives(*out)
 
 
 def outer_support_bracket(c: float, h1: DiscreteMeasure,
@@ -419,22 +493,19 @@ def stieltjes_invert(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
             zero_mass = float(np.sum(weights / (1.0 + probe.g2 * evals)).real)
         zero_mass = min(max(zero_mass, 0.0), 1.0)
 
-    density = np.empty(grid.size)
-    init = None
-    for k, x in enumerate(grid):
-        z = complex(x, eps)
-        try:
-            sol = solve_lsd(c, h1, h2, z, init=init)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"inversion failed at grid point x={x}: {exc}",
-                residual=exc.residual, iterations=exc.iterations) from exc
-        init = (sol.g1, sol.g2)
-        if weights is None:
-            density[k] = sol.m.imag / np.pi
-        else:
-            s = -np.sum(weights / (1.0 + sol.g2 * evals)) / z
-            density[k] = s.imag / np.pi
+    z = grid + 1j * eps
+    try:
+        sol = solve_lsd(c, h1, h2, z)
+    except ConvergenceError as exc:
+        x = grid[0 if exc.index is None else exc.index]
+        raise ConvergenceError(
+            f"inversion failed at grid point x={x}: {exc}", residual=exc.residual,
+            iterations=exc.iterations, index=exc.index) from exc
+    if weights is None:
+        density = sol.m.imag / np.pi
+    else:
+        s = -np.sum(weights / (1.0 + sol.g2[:, None] * evals), axis=1) / z
+        density = s.imag / np.pi
     if zero_mass > 0.0:
         # remove the Poisson-kernel leakage of the point mass at zero
         density -= zero_mass * (eps / np.pi) / (grid ** 2 + eps ** 2)
@@ -515,7 +586,7 @@ def solve_lsd_inverse(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
     if not -1.0 / float(h1.atoms[-1]) < g2 < 0.0:
         raise DomainError(f"g2={g2!r} outside (-1/max H1, 0)")
     z, k, _ = _InverseMap(c, h1, h2).point(g2)
-    return _finish(c, h1, h2, complex(z), complex(-k / z), complex(g2), iterations=0,
+    return _finish(c, h1, complex(z), complex(-k / z), complex(g2), iterations=0,
                    residual=_residual(c, h1, h2, z, -k / z, g2))
 
 
@@ -543,3 +614,4 @@ def find_bulk_edges(c: float, h1: DiscreteMeasure,
         return 0.0, upper
     lower_map = by_g2 if a < b else _InverseMap(c, h1, h2, swap=True)
     return lower_map.point(lower_map.turning_point(upper=False))[0], upper
+

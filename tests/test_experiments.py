@@ -295,6 +295,54 @@ def test_vesd_const_stat_exactly_zero(tmp_path):
     assert header == "x,density,cdf"
 
 
+def test_vesd_with_spike():
+    from elliprmt.experiments import _population
+    from elliprmt.sampler import nonspiked_spectrum_measure
+    from elliprmt.spikes import transition
+    cfg = ExperimentConfig.from_dict({
+        "kind": "vesd", "p": 20, "n": 40, "reps": 20, "seed": 5,
+        "population": {"spikes": [8.0], "bulk": "ones"}, "pi": "uniform",
+    })
+    res = run_experiment(cfg)
+    assert res.failures == 0
+    assert all(np.all(np.isfinite(v)) for v in res.summary.values()
+               if isinstance(v, (float, list)))
+    spec, (_, evecs, evals), _, h2 = _population(cfg)
+    theta, _ = transition(cfg.c, nonspiked_spectrum_measure(spec), h2, 8.0)
+    # the reference CDF runs over the contour's span, which must enclose theta
+    # and the whole finite-p law: its mass reaches 1 and int x dF = pi' Sigma pi
+    grid = np.array([row.split(",") for row in
+                     res.extra_files["aniso_cdf.csv"].splitlines()[1:]], dtype=float)
+    assert grid[-1, 0] > theta
+    assert abs(grid[-1, 2] - 1.0) < 1e-2
+    pi = np.full(cfg.p, 1.0 / np.sqrt(cfg.p))
+    exact_mean = float(((evecs.T @ pi) ** 2) @ evals)
+    assert abs(res.theory["centering"]["x"] - exact_mean) < 1e-4 * exact_mean
+    assert res.theory["quad_doubling_rel_change"] < 1e-4
+
+
+# centering and covariance of this config as the per-node solver computed them
+VESD_PINNED = {
+    "centering": {"x": 0.8556345261257389, "x2": 0.9959582202046712},
+    "cov": {"x_x": 0.7687434566965303, "x2_x2": 3.393487241242226,
+            "x_x2": 1.5727178899974663},
+}
+
+
+def test_vesd_theory_pinned():
+    cfg = ExperimentConfig.from_dict({
+        "kind": "vesd", "p": 30, "n": 60, "reps": 4, "seed": 11,
+        "radius": {"kind": "two-point", "nu_rule": "p"},
+        "population": {"spikes": [], "bulk": "uniform", "toeplitz_rho": 0.5},
+        "pi": "uniform",
+    })
+    theory = run_experiment(cfg).theory
+    for group, values in VESD_PINNED.items():
+        for key, want in values.items():
+            assert abs(theory[group][key] - want) <= 1e-10 * abs(want), (group, key)
+    assert theory["quad_doubling_rel_change"] < 1e-4
+
+
 def test_quadform_kind_z_scores():
     cfg = ExperimentConfig.from_dict({
         "kind": "quadform-oracle", "p": 10, "n": 2, "reps": 10, "seed": 10,

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elliprmt.errors import ConvergenceError, DomainError
 from elliprmt.lsd import (derivatives, find_bulk_edges, outer_support_bracket,
@@ -309,3 +311,135 @@ def test_solution_json_round_trip():
     assert data["z"] == [1.0, 1.0]
     assert data["trivial"] is False
     assert data["residual"] < 1e-10
+
+
+# --- batched solve ----------------------------------------------------------
+
+def _laws():
+    """Discrete laws with 1 to 5 positive atoms."""
+    atoms = st.lists(st.floats(0.05, 20.0), min_size=1, max_size=5, unique=True)
+    return atoms.flatmap(lambda xs: st.lists(
+        st.floats(0.05, 1.0), min_size=len(xs), max_size=len(xs)).map(
+        lambda ws: DiscreteMeasure(np.array(xs), np.array(ws) / np.sum(ws))))
+
+
+def _nodes():
+    """1 to 10 points in either half plane, |Im z| >= 0.05."""
+    point = st.tuples(st.floats(-2.0, 25.0), st.floats(0.05, 3.0), st.booleans())
+    return st.lists(point, min_size=1, max_size=10).map(
+        lambda ps: np.array([complex(x, y if up else -y) for x, y, up in ps]))
+
+
+_FIELDS = ("g1", "g2", "m", "m_under")
+_DER_FIELDS = ("g1p", "g2p", "m_under_p", "zg2_p", "zmu_p", "mu_over_g2_p")
+
+
+def _close(a, b, tol=1e-12):
+    return abs(a - b) <= tol * max(1.0, abs(b))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(c=st.floats(0.1, 4.0), h1=_laws(), h2=_laws(), z=_nodes(),
+       extra=_nodes(), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_solve_properties(c, h1, h2, z, extra, seed):
+    batch = solve_lsd(c, h1, h2, z)
+    der = derivatives(batch, c, h1, h2)
+    assert isinstance(batch.iterations, int) and batch.g2.shape == z.shape
+
+    # the same nodes shuffled among other nodes come out bit for bit the same
+    mixed = np.concatenate([z, extra])
+    order = np.random.default_rng(seed).permutation(mixed.size)
+    other = solve_lsd(c, h1, h2, mixed[order])
+    where = np.argsort(order)[:z.size]
+    for name in _FIELDS:
+        assert np.array_equal(getattr(other, name)[where], getattr(batch, name))
+
+    # conjugate nodes give conjugate solutions
+    conj = solve_lsd(c, h1, h2, z.conj())
+    for name in _FIELDS:
+        assert np.array_equal(getattr(conj, name), np.conj(getattr(batch, name)))
+
+    total = 0
+    for i, zi in enumerate(z):
+        one = solve_lsd(c, h1, h2, zi)
+        total += one.iterations
+        for name in _FIELDS:
+            assert _close(getattr(batch, name)[i], getattr(one, name)), (zi, name)
+        # one z takes numpy's scalar arithmetic, which rounds apart from the
+        # array loops, and m_under' = 1/z^2 - g1' g2 - g1 g2' (hence the
+        # composites) can cancel: (m_under/g2)' is 0 when H2 is a point mass.
+        # So the tolerance scales with those terms.
+        one_der = derivatives(one, c, h1, h2)
+        terms = (abs(zi) ** -2 + abs(one_der.g1p * one.g2) + abs(one.g1 * one_der.g2p)) \
+            * max(1.0, abs(zi)) / min(1.0, abs(one.g2))
+        for name in _DER_FIELDS:
+            a, b = getattr(der, name)[i], getattr(one_der, name)
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b), terms), (zi, name)
+        # in U, read in the upper half plane
+        up = one if zi.imag > 0 else solve_lsd(c, h1, h2, zi.conjugate())
+        assert up.m.imag > 0 and (up.z * up.g1).imag > 0 and up.g2.imag > 0
+    assert batch.iterations == total
+
+
+def test_scalar_and_array_solutions():
+    one = solve_lsd(0.5, D1, H2_HEAVY, 1 + 1j)
+    assert isinstance(one.g2, complex) and isinstance(one.z, complex)
+    grid = np.array([[1 + 1j, 2 - 0.5j], [0.5 + 2j, 3 + 0.1j]])
+    many = solve_lsd(0.5, D1, H2_HEAVY, grid)
+    assert many.m.shape == grid.shape and many.z.shape == grid.shape
+    assert many.g2[0, 0] == one.g2
+    assert many.residual == max(solve_lsd(0.5, D1, H2_HEAVY, z).residual for z in grid.ravel())
+    with pytest.raises(DomainError, match="Im z != 0"):
+        solve_lsd(0.5, D1, D1, np.array([1 + 1j, 2.0]))
+
+
+def test_point_dispatch_mixes_real_nodes():
+    z = np.array([1.3 + 0.7j, 6.0, 1.3 - 0.7j, -0.5])
+    sol = solve_lsd_point(0.5, D1, H2_HEAVY, z)
+    for i, zi in enumerate(z):
+        one = solve_lsd_point(0.5, D1, H2_HEAVY, zi)
+        for name in _FIELDS:
+            assert getattr(sol, name)[i] == getattr(one, name)
+
+
+def test_warm_start_outside_uniqueness_set_is_retried_cold():
+    # with H1 = H2 = delta_1 both roots of z g2^2 + (z + 1 - c) g2 + 1 = 0
+    # solve the system exactly (g1 = -1/(z g2) - 1); only one lies in U
+    c, z = 0.5, 1.5 + 0.8j
+    roots = np.roots([z, z + 1 - c, 1.0])
+    spurious = roots[np.argmin(roots.imag)]
+    bad = (-1.0 / (z * spurious) - 1.0, spurious)
+    cold = solve_lsd(c, D1, D1, z)
+    retried = solve_lsd(c, D1, D1, z, init=bad)
+    assert retried.g2 == cold.g2 and retried.iterations == cold.iterations
+
+    # in a batch only the node that left U is solved again
+    good = solve_lsd(c, D1, D1, 2 + 1j)
+    batch = solve_lsd(c, D1, D1, np.array([z, 2 + 1j]),
+                      init=(np.array([bad[0], good.g1]), np.array([bad[1], good.g2])))
+    assert batch.g2[0] == cold.g2 and batch.g2[1] == good.g2
+    assert batch.iterations == cold.iterations
+
+
+def test_convergence_error_names_first_failing_node():
+    # 3+2j and 50j converge within 60 iterations, the nodes at Im z = 1e-3 do not
+    z = np.array([3 + 2j, 1 + 1e-3j, 50j, 2 + 1e-3j])
+    with pytest.raises(ConvergenceError, match=r"z=\(1\+0\.001j\) \(node 1 of 4\)") as err:
+        solve_lsd(0.5, D1, D1, z, max_iter=60)
+    assert err.value.index == 1
+    with pytest.raises(ConvergenceError) as err:
+        solve_lsd(0.5, D1, D1, z[1], max_iter=60)
+    assert err.value.index == 0 and "node" not in str(err.value)
+
+
+def test_inversion_failure_names_grid_point(monkeypatch):
+    from elliprmt import lsd
+
+    def fail(c, h1, h2, z, **kwargs):
+        raise ConvergenceError("no convergence", residual=1.0, iterations=0, index=3)
+
+    monkeypatch.setattr(lsd, "solve_lsd", fail)
+    grid = np.linspace(0.5, 2.0, 7)
+    with pytest.raises(ConvergenceError, match="grid point x=1.25:") as err:
+        stieltjes_invert(0.5, D1, D1, grid)
+    assert err.value.index == 3
