@@ -19,8 +19,8 @@ from .lsd import (InvertedLaw, LsdDerivatives, LsdSolution, derivatives,
                   solve_lsd_point, solve_lsd_real, stieltjes_invert)
 from .kernels import (ContourSpec, KernelValues, RFunctionals, contour_moment,
                       cov_m, cov_m_diagonal, default_contour,
-                      deterministic_equivalent, eigvec_stat_cov, kernel_grid_csv,
-                      kernels, kernels_diagonal, r_functionals)
+                      deterministic_equivalent, eigvec_stat_cov, kernels,
+                      kernels_diagonal, r_functionals)
 from .spikes import (GoeCovarianceProfile, SpikePrediction, goe_covariance_profile,
                      overlap_sq, predict_spike, sigma_delta_sq, transition)
 from .experiments import (EXPERIMENT_KINDS, ExperimentConfig, ExperimentResult,

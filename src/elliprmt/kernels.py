@@ -3,12 +3,18 @@
 The centered bilinear form sqrt(p) (pi_a^T (S - z)^{-1} pi_b + z^{-1}
 pi_a^T (I + g2 Sigma)^{-1} pi_b) converges to a Gaussian process whose
 covariance factorizes through three scalar kernels (h1, h2 and the mixing
-factor d) times population-side functionals of (I + g2 Sigma)^{-1}.  This
-module evaluates those kernels from solver output, their coincident-point
-limits, and the double contour integral giving the covariance of
-eigenvector statistics.  The contour quadratures solve all of their nodes
-in one call of the batched solver and evaluate the test functions zeta
-once on the node array, so a zeta must accept an array of z.
+factor d) times population-side functionals of (I + g2 Sigma)^{-1}.  h1 is
+the light-tail kernel and h2 the radius-fluctuation kernel, which vanishes
+when H2 = delta_1.  The kernels are written in two functions only:
+
+- ``_pair_kernels`` at distinct points, for ``kernels``, ``cov_m`` and the
+  node grid of ``eigvec_stat_cov``;
+- ``_diagonal_kernels`` at coincident points, for ``kernels_diagonal``,
+  ``cov_m_diagonal`` and sigma_Delta^2 in ``spikes.predict_spike``.
+
+The contour quadratures solve all of their nodes in one call of the
+batched solver and evaluate the test functions zeta once on the node
+array, so a zeta must accept an array of z.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, PoleError
-from .lsd import LsdSolution, derivatives, outer_support_bracket, solve_lsd_point
+from .lsd import derivatives, outer_support_bracket, solve_lsd_point
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -34,7 +40,6 @@ __all__ = [
     "default_contour",
     "eigvec_stat_cov",
     "contour_moment",
-    "kernel_grid_csv",
 ]
 
 _COINCIDENT_TOL = 1e-12
@@ -76,54 +81,73 @@ def _sigma_eig(sigma) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def _solve_pair(c, h1, h2, z1, z2, tol):
-    s1 = solve_lsd_point(c, h1, h2, z1, tol=tol)
-    s2 = solve_lsd_point(c, h1, h2, z2, tol=tol)
-    return s1, s2
+def _solved(c, h1, h2, z):
+    """(z, g1, g2, m_under, g2') at a point or an array of points, the
+    per-point argument of :func:`_pair_kernels`."""
+    sol = solve_lsd_point(c, h1, h2, z)
+    return sol.z, sol.g1, sol.g2, sol.m_under, derivatives(sol, c, h1, h2).g2p
 
 
-def _kernels_from_solutions(c, s1: LsdSolution, s2: LsdSolution,
-                            d1=None, d2=None) -> KernelValues:
-    z1, z2 = s1.z, s2.z
-    dg1 = s1.g1 - s2.g1
-    dg2 = s1.g2 - s2.g2
-    if abs(dg1) < _COINCIDENT_TOL or abs(dg2) < _COINCIDENT_TOL:
-        raise DomainError(
-            "evaluation points are numerically coincident "
-            "(|g1(z1)-g1(z2)| or |g2(z1)-g2(z2)| < 1e-12); use kernels_diagonal")
-    w = z1 * z2 * dg2
-    num1 = z1 * s1.g2 - z2 * s2.g2
-    d = (z1 * s1.g1 - z2 * s2.g1) * num1 / (z1 * z2 * dg1 * dg2)
-    h1v = c * num1 / (z1 ** 2 * z2 ** 2 * dg1 * (1.0 - d))
-    h2v = c * d1.g2p * d2.g2p * (s1.m_under * s2.g2 - s2.m_under * s1.g2) \
-        / (s1.g2 * s2.g2 * dg1)
-    return KernelValues(z1=z1, z2=z2, h1=h1v, h2=h2v, d=d, w=w)
+def _pair_kernels(c, a, b):
+    """(h1, h2, d) at distinct points a and b, each (z, g1, g2, m_under, g2').
+
+    Plain operators only: scalars give scalars, and a column against a row
+    gives the kernels on a node grid.  h2 is the radius-fluctuation term,
+    zero when m_under = g2 (the light-tail regime).
+    """
+    z1, g1_1, g2_1, mu_1, g2p_1 = a
+    z2, g1_2, g2_2, mu_2, g2p_2 = b
+    dg1 = g1_1 - g1_2
+    num1 = z1 * g2_1 - z2 * g2_2
+    d = (z1 * g1_1 - z2 * g1_2) * num1 / (z1 * z2 * dg1 * (g2_1 - g2_2))
+    h1 = c * num1 / (z1 ** 2 * z2 ** 2 * dg1 * (1.0 - d))
+    h2 = c * g2p_1 * g2p_2 * (mu_1 * g2_2 - mu_2 * g2_1) / (g2_1 * g2_2 * dg1)
+    return h1, h2, d
+
+
+def _diagonal_kernels(c, z, der):
+    """(h1, h2) at coincident points z1 = z2 = z, from the derivatives there.
+
+    h1 = c (z g2)' g2' / (z^2 (z m_under)') and h2 = c g2'^2 (m_under/g2)'/g1',
+    the z1 -> z2 limits of :func:`_pair_kernels`.
+    """
+    h1 = c * der.zg2_p * der.g2p / (z ** 2 * der.zmu_p)
+    h2 = c * der.g2p ** 2 * der.mu_over_g2_p / der.g1p
+    return h1, h2
+
+
+def _at_point(c, h1, h2, z):
+    """The solution at one point and the coincident kernels there."""
+    sol = solve_lsd_point(c, h1, h2, z)
+    return sol, _diagonal_kernels(c, sol.z, derivatives(sol, c, h1, h2))
 
 
 def kernels(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
-            z1: complex, z2: complex, tol: float = 1e-12) -> KernelValues:
+            z1: complex, z2: complex) -> KernelValues:
     """Evaluate (h1, h2, d, w) at an ordered pair of distinct points."""
-    s1, s2 = _solve_pair(c, h1, h2, z1, z2, tol)
-    return _kernels_from_solutions(c, s1, s2,
-                                   derivatives(s1, c, h1, h2),
-                                   derivatives(s2, c, h1, h2))
+    a = _solved(c, h1, h2, z1)
+    b = _solved(c, h1, h2, z2)
+    dg2 = a[2] - b[2]
+    if abs(a[1] - b[1]) < _COINCIDENT_TOL or abs(dg2) < _COINCIDENT_TOL:
+        raise DomainError(
+            "evaluation points are numerically coincident "
+            "(|g1(z1)-g1(z2)| or |g2(z1)-g2(z2)| < 1e-12); use kernels_diagonal")
+    h1v, h2v, d = _pair_kernels(c, a, b)
+    return KernelValues(z1=a[0], z2=b[0], h1=h1v, h2=h2v, d=d, w=a[0] * b[0] * dg2)
 
 
 def kernels_diagonal(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
-                     z: complex, tol: float = 1e-12) -> tuple[complex, complex]:
+                     z: complex) -> tuple[complex, complex]:
     """Coincident-point variance pair (sigma11^2, sigma12^2).
 
-    sigma12^2(z) = c z^2 (z g2)' g2' / (z m_under)' and sigma11^2 adds the
-    radius-fluctuation term c z^4 (g2')^2 (m_under/g2)' / g1'.  Both reduce
-    via m_under = g2 in the light-tail regime, where the second term
-    vanishes and sigma11^2 = 2 sigma12^2.
+    sigma12^2 = z^4 h1 and sigma11^2 = z^4 (2 h1 + h2) with the coincident
+    kernels of :func:`_diagonal_kernels`.  The radius-fluctuation kernel h2
+    vanishes in the light-tail regime (m_under = g2), where
+    sigma11^2 = 2 sigma12^2.
     """
-    sol = solve_lsd_point(c, h1, h2, z, tol=tol)
-    der = derivatives(sol, c, h1, h2)
-    z = sol.z
-    sigma12_sq = c * z ** 2 * der.zg2_p * der.g2p / der.zmu_p
-    sigma11_sq = 2.0 * sigma12_sq + c * z ** 4 * der.g2p ** 2 * der.mu_over_g2_p / der.g1p
-    return complex(sigma11_sq), complex(sigma12_sq)
+    sol, (k1, k2) = _at_point(c, h1, h2, z)
+    z4 = sol.z ** 4
+    return complex(z4 * (2.0 * k1 + k2)), complex(z4 * k1)
 
 
 def r_functionals(sigma, g2_at, pi_j: np.ndarray, pi_k: np.ndarray) -> RFunctionals:
@@ -169,51 +193,43 @@ def deterministic_equivalent(z: complex, g2: complex, sigma,
     return complex(-np.sum(q1 * q2 / den) / complex(z))
 
 
+def _cov_from_kernels(k1, k2, sigma, pis, g2a, g2b):
+    """k1 (r14 r23 + r13 r24) + k2 r12 r34: r_jk two-point at (g2a, g2b)
+    across the pair, r12 one-point at g2a and r34 one-point at g2b."""
+    eig = _sigma_eig(sigma)
+
+    def r(j, k):
+        return r_functionals(eig, (g2a, g2b), pis[j], pis[k]).r_two_point
+
+    r12 = r_functionals(eig, g2a, pis[0], pis[1]).r_one_point
+    r34 = r_functionals(eig, g2b, pis[2], pis[3]).r_one_point
+    return k1 * (r(0, 3) * r(1, 2) + r(0, 2) * r(1, 3)) + k2 * r12 * r34
+
+
 def cov_m(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
           pis: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-          z1: complex, z2: complex, tol: float = 1e-12) -> complex:
+          z1: complex, z2: complex) -> complex:
     """Limit covariance of two centered bilinear forms at distinct points.
 
-    Cov = h1 r14 r23 + h1 r13 r24 + h2 r12(z1) r34(z2), with r-functionals
+    Cov = h1 (r14 r23 + r13 r24) + h2 r12(z1) r34(z2), with r-functionals
     evaluated at finite n from the supplied Sigma.
     """
     if len(pis) != 4:
         raise ConfigError("cov_m needs exactly four projection vectors")
-    s1, s2 = _solve_pair(c, h1, h2, z1, z2, tol)
-    kv = _kernels_from_solutions(c, s1, s2,
-                                 derivatives(s1, c, h1, h2),
-                                 derivatives(s2, c, h1, h2))
-    eig = _sigma_eig(sigma)
-    pair = (s1.g2, s2.g2)
-    r14 = r_functionals(eig, pair, pis[0], pis[3]).r_two_point
-    r23 = r_functionals(eig, pair, pis[1], pis[2]).r_two_point
-    r13 = r_functionals(eig, pair, pis[0], pis[2]).r_two_point
-    r24 = r_functionals(eig, pair, pis[1], pis[3]).r_two_point
-    r12 = r_functionals(eig, s1.g2, pis[0], pis[1]).r_one_point
-    r34 = r_functionals(eig, s2.g2, pis[2], pis[3]).r_one_point
-    return kv.h1 * r14 * r23 + kv.h1 * r13 * r24 + kv.h2 * r12 * r34
+    a = _solved(c, h1, h2, z1)
+    b = _solved(c, h1, h2, z2)
+    k1, k2, _ = _pair_kernels(c, a, b)
+    return _cov_from_kernels(k1, k2, sigma, pis, a[2], b[2])
 
 
 def cov_m_diagonal(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
                    pis: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-                   z: complex, tol: float = 1e-12) -> complex:
+                   z: complex) -> complex:
     """z1 -> z2 limit of :func:`cov_m` via the closed-form diagonal kernels."""
     if len(pis) != 4:
         raise ConfigError("cov_m_diagonal needs exactly four projection vectors")
-    sol = solve_lsd_point(c, h1, h2, z, tol=tol)
-    der = derivatives(sol, c, h1, h2)
-    zz = sol.z
-    h1_diag = c * der.zg2_p * der.g2p / (zz ** 2 * der.zmu_p)
-    h2_diag = c * der.g2p ** 2 * der.mu_over_g2_p / der.g1p
-    eig = _sigma_eig(sigma)
-    g2 = sol.g2
-    r14 = r_functionals(eig, g2, pis[0], pis[3]).r_one_point
-    r23 = r_functionals(eig, g2, pis[1], pis[2]).r_one_point
-    r13 = r_functionals(eig, g2, pis[0], pis[2]).r_one_point
-    r24 = r_functionals(eig, g2, pis[1], pis[3]).r_one_point
-    r12 = r_functionals(eig, g2, pis[0], pis[1]).r_one_point
-    r34 = r_functionals(eig, g2, pis[2], pis[3]).r_one_point
-    return h1_diag * (r14 * r23 + r13 * r24) + h2_diag * r12 * r34
+    sol, (k1, k2) = _at_point(c, h1, h2, z)
+    return _cov_from_kernels(k1, k2, sigma, pis, sol.g2, sol.g2)
 
 
 # ---------------------------------------------------------------------------
@@ -244,28 +260,21 @@ class ContourSpec:
                            self.v0 - self.separation, self.separation)
 
 
-def default_contour(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
-                    spikes: tuple[float, ...] = (), v0: float = 0.5,
-                    separation: float = 0.05) -> ContourSpec:
-    """Rectangle strictly enclosing the bulk bracket and all spike locations.
+def default_contour(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure) -> ContourSpec:
+    """Rectangle strictly enclosing the bulk bracket, with the default v0.
 
     The left side stays strictly positive whenever the support bracket
     allows it (the kernels carry z = 0 structure that must remain outside
     the contour for c < 1), and the separation is shrunk if needed so the
     inset inner contour still encloses the bracket.
     """
-    lo0, hi0 = outer_support_bracket(c, h1, h2)
-    from .spikes import transition
-    hi = max([hi0] + [transition(c, h1, h2, alpha)[0] for alpha in spikes])
-    x_right = 1.2 * hi
+    lo0, hi = outer_support_bracket(c, h1, h2)
     if lo0 <= 1e-12:
-        x_left = -0.1 * hi
-        sep = min(separation, 0.05 * hi, v0 / 3)
+        x_left, sep = -0.1 * hi, min(0.05, 0.05 * hi)
     else:
         # inner left edge x_left + sep must stay below the bracket lo0
-        x_left = 0.4 * lo0
-        sep = min(separation, 0.3 * lo0, v0 / 3)
-    return ContourSpec(x_left=x_left, x_right=x_right, v0=v0, separation=sep)
+        x_left, sep = 0.4 * lo0, min(0.05, 0.3 * lo0)
+    return ContourSpec(x_left=x_left, x_right=1.2 * hi, separation=sep)
 
 
 def _contour_nodes(spec: ContourSpec, quad_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -286,38 +295,18 @@ def _contour_nodes(spec: ContourSpec, quad_n: int) -> tuple[np.ndarray, np.ndarr
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _solve_contour(c, h1, h2, nodes, tol):
-    """Solutions and derivatives at every node, in one batched solve."""
-    sol = solve_lsd_point(c, h1, h2, nodes, tol=tol)
-    der = derivatives(sol, c, h1, h2)
-    return sol.g1, sol.g2, sol.m_under, der.g1p, der.g2p, der.m_under_p
-
-
 def _on_nodes(zeta, nodes: np.ndarray) -> np.ndarray:
     """zeta evaluated on the node array at once (zeta must broadcast)."""
     return np.broadcast_to(np.asarray(zeta(nodes), dtype=np.complex128), nodes.shape)
 
 
-def _varpi_matrix(c, vals1, vals2, z1, z2, evals, weights_pi):
-    """varpi(z1, z2) = 2 h1 r11(z1,z2)^2 + h2 r11(z1) r11(z2) on a node grid."""
-    g1_1, g2_1, mu_1, _, g2p_1, _ = vals1
-    g1_2, g2_2, mu_2, _, g2p_2, _ = vals2
-    z1c = z1[:, None]
-    z2c = z2[None, :]
-    a1 = g1_1[:, None]
-    a2 = g1_2[None, :]
-    b1 = g2_1[:, None]
-    b2 = g2_2[None, :]
-    dg1 = a1 - a2
-    dg2 = b1 - b2
-    num1 = z1c * b1 - z2c * b2
-    d = (z1c * a1 - z2c * a2) * num1 / (z1c * z2c * dg1 * dg2)
-    h1m = c * num1 / (z1c ** 2 * z2c ** 2 * dg1 * (1.0 - d))
-    h2m = c * g2p_1[:, None] * g2p_2[None, :] * (mu_1[:, None] * b2 - mu_2[None, :] * b1) \
-        / (b1 * b2 * dg1)
+def _varpi_matrix(c, vals1, vals2, evals, weights_pi):
+    """varpi(z1, z2) = 2 h1 r11(z1,z2)^2 + h2 r11(z1) r11(z2) on a node grid,
+    from the :func:`_solved` tuples of the two node arrays."""
+    h1m, h2m, _ = _pair_kernels(c, [v[:, None] for v in vals1], [v[None, :] for v in vals2])
     # r11 cross matrix: sum_j w_j d_j / ((1+g2(z1)d_j)(1+g2(z2)d_j))
-    t1 = 1.0 / (1.0 + np.multiply.outer(g2_1, evals))   # (n1, p)
-    t2 = 1.0 / (1.0 + np.multiply.outer(g2_2, evals))   # (n2, p)
+    t1 = 1.0 / (1.0 + np.multiply.outer(vals1[2], evals))   # (n1, p)
+    t2 = 1.0 / (1.0 + np.multiply.outer(vals2[2], evals))   # (n2, p)
     wd = weights_pi * evals
     r_cross = (t1 * wd) @ t2.T
     r_one_1 = np.sum(t1 * t1 * wd, axis=1)
@@ -327,8 +316,7 @@ def _varpi_matrix(c, vals1, vals2, z1, z2, evals, weights_pi):
 
 def eigvec_stat_cov(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
                     pi: np.ndarray, zeta_t, zeta_s,
-                    contour: ContourSpec | None = None, quad_n: int = 96,
-                    tol: float = 1e-12) -> float:
+                    contour: ContourSpec | None = None, quad_n: int = 96) -> float:
     """Limit covariance of the eigenvector statistics int zeta d G_n.
 
     Evaluates -(2 pi i)^{-2} times the double contour integral of
@@ -346,9 +334,9 @@ def eigvec_stat_cov(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
 
     nodes1, w1 = _contour_nodes(inner, quad_n)
     nodes2, w2 = _contour_nodes(outer, quad_n)
-    vals1 = _solve_contour(c, h1, h2, nodes1, tol)
-    vals2 = _solve_contour(c, h1, h2, nodes2, tol)
-    varpi = _varpi_matrix(c, vals1, vals2, nodes1, nodes2, evals, wpi)
+    vals1 = _solved(c, h1, h2, nodes1)
+    vals2 = _solved(c, h1, h2, nodes2)
+    varpi = _varpi_matrix(c, vals1, vals2, evals, wpi)
     integral = np.einsum("i,j,ij->", w1 * _on_nodes(zeta_t, nodes1),
                          w2 * _on_nodes(zeta_s, nodes2), varpi)
     value = integral / (2.0j * np.pi) ** 2
@@ -361,7 +349,7 @@ def eigvec_stat_cov(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
 
 def contour_moment(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
                    pi: np.ndarray, zeta, contour: ContourSpec | None = None,
-                   quad_n: int = 256, tol: float = 1e-12) -> float:
+                   quad_n: int = 256) -> float:
     """int zeta dF for the anisotropic reference law, by contour quadrature.
 
     Uses int zeta dF = -(2 pi i)^{-1} oint zeta(z) s(z) dz with
@@ -377,22 +365,8 @@ def contour_moment(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
     wpi = proj ** 2
     nodes, w = _contour_nodes(contour, quad_n)
     base = complex(zeta(0.0))
-    g2 = solve_lsd_point(c, h1, h2, nodes, tol=tol).g2
+    g2 = solve_lsd_point(c, h1, h2, nodes).g2
     s = -np.sum(wpi / (1.0 + g2[:, None] * evals), axis=1) / nodes
     total = np.sum(w * (_on_nodes(zeta, nodes) - base) * s)
     value = base - total / (2.0j * np.pi)
     return float(value.real)
-
-
-def kernel_grid_csv(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
-                    z1_list, z2_list, tol: float = 1e-12) -> str:
-    """Kernel values on a grid of point pairs as CSV text."""
-    lines = ["re_z1,im_z1,re_z2,im_z2,re_h1,im_h1,re_h2,im_h2,re_d,im_d,re_w,im_w"]
-    for z1 in z1_list:
-        for z2 in z2_list:
-            kv = kernels(c, h1, h2, z1, z2, tol=tol)
-            row = [z1.real, z1.imag, z2.real, z2.imag,
-                   kv.h1.real, kv.h1.imag, kv.h2.real, kv.h2.imag,
-                   kv.d.real, kv.d.imag, kv.w.real, kv.w.imag]
-            lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"

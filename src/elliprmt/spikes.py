@@ -17,7 +17,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, DomainError, SubcriticalSpikeError
-from .kernels import kernels_diagonal
+from .kernels import _diagonal_kernels, kernels_diagonal
 from .lsd import derivatives, solve_lsd_inverse, upper_edge_g2
 from .measures import DiscreteMeasure
 
@@ -80,28 +80,30 @@ def transition(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
 
 
 def sigma_delta_sq(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
-                   alpha: float, edge: float | None = None) -> float:
+                   alpha: float) -> float:
     """Limit variance of sqrt(n) (lambda - theta)/theta for one spike.
 
-    Evaluates 2 (t g2)' / ((t mu)' g2' t^2) + (mu/g2)' / g1' at t = theta
-    with mu the companion transform; the second term vanishes and the first
+    Evaluates (2 h1 + h2) / (c g2'^2) with the coincident kernels at
+    t = theta, i.e. 2 (t g2)' / ((t mu)' g2' t^2) + (mu/g2)' / g1' with mu
+    the companion transform; the second term vanishes and the first
     reduces to 2/(mu'(theta) theta^2) in the light-tail regime.
     """
-    return predict_spike(c, h1_nonspiked, h2, alpha, edge=edge).sigma_delta_sq
+    return predict_spike(c, h1_nonspiked, h2, alpha).sigma_delta_sq
 
 
 def overlap_sq(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
-               alpha: float, edge: float | None = None) -> float:
+               alpha: float) -> float:
     """Almost-sure limit of the squared population/sample eigenvector overlap:
     G'(alpha) / (G(alpha)/alpha)."""
-    return predict_spike(c, h1_nonspiked, h2, alpha, edge=edge).overlap_sq
+    return predict_spike(c, h1_nonspiked, h2, alpha).overlap_sq
 
 
 def predict_spike(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
                   alpha: float, edge: float | None = None) -> SpikePrediction:
     """Bundle theta, G', sigma_Delta^2 and the overlap limit for one spike."""
     theta, g_prime, der = _locate(c, h1_nonspiked, h2, alpha, edge)
-    sdsq = 2.0 * der.zg2_p / (der.zmu_p * der.g2p * theta ** 2) + der.mu_over_g2_p / der.g1p
+    k1, k2 = _diagonal_kernels(c, theta, der)
+    sdsq = (2.0 * k1 + k2) / (c * der.g2p ** 2)
     return SpikePrediction(alpha=float(alpha), theta=theta, g_prime=g_prime,
                            sigma_delta_sq=float(sdsq.real),
                            overlap_sq=float(g_prime / (theta / alpha)),
