@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .errors import ConfigError, DomainError
 
@@ -211,7 +210,9 @@ class RadiusLaw:
 
 
 def _quantile_atoms(law: RadiusLaw, n_atoms: int) -> np.ndarray:
-    # scipy.stats' gamma and chi2 ppf, without importing all of scipy.stats
+    # The gamma and chi2 ppf. Imported here, so that only these two laws
+    # load scipy and `import elliprmt` needs numpy alone.
+    from scipy.special import gammaincinv
     probs = (np.arange(n_atoms) + 0.5) / n_atoms
     if law.kind == "chi-square":
         return 2 * gammaincinv(law.p / 2, probs)

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import ConfigError, DomainError
 from .measures import DiscreteMeasure, RadiusLaw
@@ -92,7 +91,8 @@ def build_population(spec: PopulationSpec) -> tuple[np.ndarray, np.ndarray, np.n
     eigenvalue; D0 lists the spikes (descending) followed by the bulk draws.
     """
     p = spec.p
-    base = toeplitz(spec.toeplitz_rho ** np.arange(p))
+    idx = np.arange(p)
+    base = (spec.toeplitz_rho ** idx)[np.abs(idx[:, None] - idx[None, :])]
     tvals, tvecs = np.linalg.eigh(base)
     order = np.argsort(-tvals, kind="stable")  # descending, stable under ties
     u0 = tvecs[:, order]

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
 import sys
 import threading
 
@@ -11,8 +13,8 @@ import pytest
 from elliprmt import experiments
 from elliprmt.errors import ConfigError
 from elliprmt.experiments import (EXPERIMENT_KINDS, ExperimentConfig,
-                                  _load_openblas, _one_blas_thread, _pi_pairs,
-                                  _run_replicates, run_experiment)
+                                  _ks_normal, _load_openblas, _one_blas_thread,
+                                  _pi_pairs, _run_replicates, run_experiment)
 
 OPENBLAS = _load_openblas()
 needs_openblas = pytest.mark.skipif(
@@ -201,6 +203,42 @@ def test_spike_dist_outputs(tmp_path):
     records_lines = (tmp_path / "out" / "records.csv").read_text().splitlines()
     assert records_lines[0] == "lambda_1"
     assert len(records_lines) == 61
+
+
+@pytest.mark.parametrize("n", [1, 2, 300, 2000])
+@pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (0.4, 2.5), (-1.5, 0.3)])
+def test_ks_normal_matches_scipy(n, shift, scale):
+    from scipy import stats
+    x = shift + scale * np.random.default_rng(n).standard_normal(n)
+    ref = stats.kstest(x, "norm").statistic
+    assert abs(_ks_normal(x) - ref) <= 1e-13 * ref
+
+
+_COLD_START = """
+import sys
+import elliprmt, elliprmt.cli
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+from elliprmt.experiments import ExperimentConfig, run_experiment
+run_experiment(ExperimentConfig.from_dict({
+    "kind": "spike-dist", "p": 20, "n": 40, "reps": 20, "seed": 7,
+    "radius": {"kind": "two-point", "nu_rule": "0"},
+    "population": {"spikes": [8.0], "bulk": "uniform", "toeplitz_rho": 0.9}}))
+assert "scipy.stats" not in sys.modules
+from elliprmt import RadiusLaw, radius_law_to_h2
+h2 = radius_law_to_h2(RadiusLaw("gamma", p=20, nu_p=400.0))
+assert h2.atoms.size == 512
+"""
+
+
+def test_cold_start_leaves_scipy_unloaded():
+    # A fresh interpreter: this one has scipy loaded already.
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gamma_radius_flagged_nonconforming():

@@ -33,6 +33,22 @@ def test_spiked_population_top_eigenvalue():
     assert d0[0] == 8.0
 
 
+@pytest.mark.parametrize("rho", [0.9, 0.5, 0.0, -0.3])
+@pytest.mark.parametrize("p", [1, 3, 200])
+def test_toeplitz_base_matches_scipy(rho, p, monkeypatch):
+    from scipy.linalg import toeplitz
+    eigh = np.linalg.eigh
+    seen = []
+
+    def spy(a, *args, **kwargs):
+        seen.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    build_population(PopulationSpec(p=p, bulk=(1.0,) * p, toeplitz_rho=rho))
+    assert np.array_equal(seen[0], toeplitz(rho ** np.arange(p)))
+
+
 def test_spike_separation_enforced():
     spec = PopulationSpec(p=5, spikes=(1.05,), bulk=(1.0, 1.0, 1.0, 1.0),
                           separation=0.1)
