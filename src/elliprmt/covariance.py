@@ -2,12 +2,22 @@
 
 The normalized SCM of a sample X is ``S = sqrt(p^2/m_p)/n * G X X^T G^T``
 with ``G = U0 D0^{1/2} U0^T`` the symmetric square root of the population
-covariance.  All resolvent quantities are evaluated spectrally: one
+covariance; a Monte Carlo run forms ``G`` once per population and hands it
+to every replicate.  All resolvent quantities are evaluated spectrally: one
 eigendecomposition per sample, reused across evaluation points.
+
+Eigenvalue-only decompositions call LAPACK's ``dsyevd`` of the OpenBLAS that
+numpy loaded, through ``ctypes``, which releases the interpreter lock for
+the call, so worker threads computing them overlap.  numpy's own
+``eigvalsh`` holds the lock for the whole call.  The routine, job and
+workspace are the ones ``np.linalg.eigvalsh`` uses, so the eigenvalues are
+the same bit for bit; without that symbol ``np.linalg.eigvalsh`` runs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +34,83 @@ __all__ = [
     "spiked_quadform",
     "spike_determinant_residual",
 ]
+
+
+def _numpy_linalg_library():
+    """numpy's own linalg extension opened with ``ctypes``, or None.
+
+    Symbols looked up in it resolve in the library numpy loaded, not in
+    some other copy.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+        return ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+
+
+def _bind_dsyevd(lib):
+    """``dsyevd`` of the ILP64 OpenBLAS in numpy-2 wheels, or None."""
+    fn = getattr(lib, "scipy_dsyevd_64_", None) if lib is not None else None
+    if fn is not None:
+        ref, buf = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+        # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO, then
+        # the Fortran lengths of the two strings
+        fn.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ref, buf, ref, buf, buf,
+                       ref, buf, ref, ref, ctypes.c_size_t, ctypes.c_size_t]
+        fn.restype = None
+    return fn
+
+
+_NUMPY_LINALG = _numpy_linalg_library()
+_DSYEVD = _bind_dsyevd(_NUMPY_LINALG)
+
+
+def _call_dsyevd(a, w, work, iwork, lwork, liwork):
+    """Eigenvalue-only ``dsyevd`` on the lower triangle of ``a``, which it
+    overwrites; returns LAPACK's ``info``.
+
+    ``a`` is an (n, n) Fortran-ordered float64 array, ``w`` and ``work``
+    float64 arrays of at least n and ``lwork`` entries, ``iwork`` an int64
+    array of at least ``liwork`` entries (one entry each for a workspace
+    query, ``lwork = liwork = -1``).
+    """
+    n = a.shape[0]
+    info = ctypes.c_int64()
+    _DSYEVD(b"N", b"L", ctypes.c_int64(n), a.ctypes.data, ctypes.c_int64(max(n, 1)),
+            w.ctypes.data, work.ctypes.data, ctypes.c_int64(lwork),
+            iwork.ctypes.data, ctypes.c_int64(liwork), ctypes.byref(info), 1, 1)
+    return info.value
+
+
+@functools.cache
+def _dsyevd_workspace(n: int) -> tuple[int, int]:
+    """``(lwork, liwork)`` that LAPACK's workspace query returns at order n,
+    as numpy uses them."""
+    work, iwork = np.zeros(1), np.zeros(1, dtype=np.int64)
+    _call_dsyevd(np.zeros((n, n), order="F"), np.zeros(max(n, 1)), work, iwork,
+                 -1, -1)
+    return int(work[0]), int(iwork[0])
+
+
+def _eigvalsh(s: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix s from its lower
+    triangle, equal to ``np.linalg.eigvalsh(s)`` bit for bit.
+
+    Raises ``np.linalg.LinAlgError`` when LAPACK does not converge.
+    """
+    a = np.asarray(s)
+    if (_DSYEVD is None or a.dtype != np.float64 or a.ndim != 2
+            or a.shape[0] != a.shape[1]):
+        return np.linalg.eigvalsh(s)
+    a = np.array(a, order="F")         # dsyevd overwrites its input
+    n = a.shape[0]
+    lwork, liwork = _dsyevd_workspace(n)
+    w = np.empty(n)
+    if _call_dsyevd(a, w, np.empty(lwork), np.empty(liwork, dtype=np.int64),
+                    lwork, liwork):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
 
 
 @dataclass(frozen=True)
@@ -64,22 +151,31 @@ def _vectors(bundle: ScmBundle) -> np.ndarray:
     return bundle.eigenvectors
 
 
-def build_scm(sample: EllipticalSample,
-              population: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-              *, vectors: bool = True) -> ScmBundle:
-    """Form and eigendecompose the normalized SCM of one sample.
-
-    ``population`` may carry a precomputed ``(Sigma, U0, D0)`` triple to
-    avoid re-realizing the population for every replicate.  With
-    ``vectors=False`` only the eigenvalues are computed (``eigvalsh``), for
-    statistics that never read an eigenvector.
-    """
-    if population is None:
-        population = build_population(sample.population)
+def _population_root(population: tuple[np.ndarray, np.ndarray, np.ndarray]
+                    ) -> np.ndarray:
+    """Symmetric square root ``U0 D0^{1/2} U0^T`` of a ``(Sigma, U0, D0)``
+    population; raises :class:`DomainError` on a negative eigenvalue."""
     _, u0, d0 = population
     if np.any(d0 < 0):
         raise DomainError("population eigenvalues must be nonnegative")
-    gamma = (u0 * np.sqrt(d0)) @ u0.T
+    return (u0 * np.sqrt(d0)) @ u0.T
+
+
+def build_scm(sample: EllipticalSample,
+              population: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+              *, vectors: bool = True, gamma: np.ndarray | None = None) -> ScmBundle:
+    """Form and eigendecompose the normalized SCM of one sample.
+
+    ``population`` may carry a precomputed ``(Sigma, U0, D0)`` triple to
+    avoid re-realizing the population for every replicate, and ``gamma`` its
+    :func:`_population_root`, which is then not formed again.  With
+    ``vectors=False`` only the eigenvalues are computed (``eigvalsh``), for
+    statistics that never read an eigenvector.
+    """
+    if gamma is None:
+        if population is None:
+            population = build_population(sample.population)
+        gamma = _population_root(population)
     scale = np.sqrt(sample.p ** 2 / sample.law.m_p)
     gx = gamma @ sample.data
     s = (scale / sample.n) * (gx @ gx.T)
@@ -87,7 +183,7 @@ def build_scm(sample: EllipticalSample,
     if vectors:
         evals, evecs = np.linalg.eigh(s)
     else:
-        evals, evecs = np.linalg.eigvalsh(s), None
+        evals, evecs = _eigvalsh(s), None
     return ScmBundle(matrix=s, eigenvalues=evals, eigenvectors=evecs,
                      normalization=float(scale))
 
@@ -180,7 +276,7 @@ def spiked_quadform(sample: EllipticalSample, z: float,
     y, u1, w, _ = _spike_parts(sample, population)
     t = y.T @ u1                       # n x K
     core = z * np.eye(w.shape[0]) - w @ w.T
-    core_evals = np.linalg.eigvalsh(core)
+    core_evals = _eigvalsh(core)
     if core_evals.min() <= 0:
         raise PoleError(
             f"z={z} is not above the non-spiked spectrum "

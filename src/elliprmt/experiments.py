@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import build_scm, bilinear_resolvent, spiked_quadform
+from .covariance import (_NUMPY_LINALG, _population_root, build_scm,
+                         bilinear_resolvent, spiked_quadform)
 from .errors import ConfigError
 from .kernels import (contour_moment, cov_m, cov_m_diagonal, default_contour,
                       deterministic_equivalent, eigvec_stat_cov)
@@ -296,13 +297,12 @@ def _load_openblas():
     """``(get, set)`` thread-count functions of the OpenBLAS behind
     ``numpy.linalg``, or None when numpy uses another BLAS.
 
-    The symbols are looked up through numpy's own linalg extension, so they
-    resolve in the library numpy loaded, not in some other copy.
+    The symbols are looked up through numpy's own linalg extension, which
+    ``covariance`` opened once, so they resolve in the library numpy loaded,
+    not in some other copy.
     """
-    try:
-        from numpy.linalg import _umath_linalg
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except (ImportError, OSError):
+    lib = _NUMPY_LINALG
+    if lib is None:
         return None
     for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
                            ("openblas_", "")):
@@ -373,11 +373,13 @@ def _run_replicates(reps: int, jobs: int, worker, width: int):
 
 
 def _population(cfg: ExperimentConfig, p: int | None = None):
-    """``(spec, pop, law, h2)`` of the configured population at dimension p."""
+    """``(spec, pop, law, h2, gamma)`` of the configured population at
+    dimension p; ``gamma`` is its square root, formed once for every
+    replicate's ``build_scm``."""
     spec = cfg.population_spec(p)
     pop = build_population(spec)
     law = cfg.radius_law(p)
-    return spec, pop, law, radius_law_to_h2(law)
+    return spec, pop, law, radius_law_to_h2(law), _population_root(pop)
 
 
 def _n_spikes(cfg: ExperimentConfig) -> int:
@@ -453,13 +455,13 @@ def _ks_normal(x: np.ndarray) -> float:
 
 def run_spike_dist(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     _n_spikes(cfg)
-    spec, pop, law, h2 = _population(cfg)
+    spec, pop, law, h2, gamma = _population(cfg)
     pred = predict_spike(cfg.c, nonspiked_spectrum_measure(spec), h2, spec.spikes[0])
     theta, sdsq = pred.theta, pred.sigma_delta_sq
     sd_lambda = theta * np.sqrt(sdsq / cfg.n)
 
     def statistic(sample):
-        return [build_scm(sample, population=pop, vectors=False).eigenvalues[-1]]
+        return [build_scm(sample, vectors=False, gamma=gamma).eigenvalues[-1]]
 
     columns = ["lambda_1"]
     records, failures = _replicates(cfg, jobs, columns, statistic, spec, law)
@@ -508,13 +510,13 @@ def run_eigvec_overlap(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult
     per_p = []
     for p in cfg.grid or (cfg.p,):
         n = int(round(p / c))
-        spec, pop, law, h2 = _population(cfg, p)
+        spec, pop, law, h2, gamma = _population(cfg, p)
         h1n = nonspiked_spectrum_measure(spec)
         theory_overlaps = [overlap_sq(c, h1n, h2, alpha) for alpha in spec.spikes]
         u1 = pop[1][:, :k_spikes]
 
-        def statistic(sample, pop=pop, u1=u1, p=p):
-            vk = build_scm(sample, population=pop).top_eigenvectors(k_spikes)
+        def statistic(sample, gamma=gamma, u1=u1, p=p):
+            vk = build_scm(sample, gamma=gamma).top_eigenvectors(k_spikes)
             inner = np.sum(u1 * vk, axis=0)
             return np.concatenate([[p], inner ** 2, np.sign(inner)])
 
@@ -544,11 +546,11 @@ def run_eigvec_overlap(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult
 # ---------------------------------------------------------------------------
 
 def _bilinear_setup(cfg: ExperimentConfig):
-    """Population, the one or two (left, right) pi forms, and the
-    deterministic equivalent of each form at each z point."""
+    """Population square root, the one or two (left, right) pi forms, and
+    the deterministic equivalent of each form at each z point."""
     if not cfg.z_points:
         raise ConfigError(f"{cfg.kind} needs z_points")
-    spec, pop, law, h2 = _population(cfg)
+    spec, pop, law, h2, gamma = _population(cfg)
     h1n = DiscreteMeasure.from_values(pop[2])
     first, second = _pi_pairs(cfg, cfg.p, pop[1])
     forms = [first]
@@ -559,15 +561,15 @@ def _bilinear_setup(cfg: ExperimentConfig):
     for z in cfg.z_points:
         g2 = solve_lsd(cfg.c, h1n, h2, z).g2
         deteqs.append([deterministic_equivalent(z, g2, sig_eig, a, b) for a, b in forms])
-    return spec, pop, law, h1n, h2, sig_eig, forms, deteqs
+    return spec, gamma, law, h1n, h2, sig_eig, forms, deteqs
 
 
 def run_bilinear_as(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    spec, pop, law, _, _, _, forms, deteqs = _bilinear_setup(cfg)
+    spec, gamma, law, _, _, _, forms, deteqs = _bilinear_setup(cfg)
     pi1, pi2 = forms[0]
 
     def statistic(sample):
-        bundle = build_scm(sample, population=pop)
+        bundle = build_scm(sample, gamma=gamma)
         return [abs(bilinear_resolvent(bundle, pi1, pi2, z) - de[0])
                 for z, de in zip(cfg.z_points, deteqs)]
 
@@ -585,13 +587,13 @@ def run_bilinear_as(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 
 
 def run_bilinear_clt(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    spec, pop, law, h1n, h2, sig_eig, forms, deteqs = _bilinear_setup(cfg)
+    spec, gamma, law, h1n, h2, sig_eig, forms, deteqs = _bilinear_setup(cfg)
     two_forms = len(forms) == 2
     (pi1, pi2), (pi3, pi4) = forms[0], forms[-1]
     sqrt_p = np.sqrt(cfg.p)
 
     def statistic(sample):
-        bundle = build_scm(sample, population=pop)
+        bundle = build_scm(sample, gamma=gamma)
         out = []
         for z, des in zip(cfg.z_points, deteqs):
             for (a, b), de in zip(forms, des):
@@ -655,7 +657,7 @@ def run_bilinear_clt(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 
 def run_goe_entries(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     k = _n_spikes(cfg)
-    spec, pop, law, h2 = _population(cfg)
+    spec, pop, law, h2, _ = _population(cfg)
     h1n = nonspiked_spectrum_measure(spec)
     z = (float(cfg.z_real) if cfg.z_real is not None
          else transition(cfg.c, h1n, h2, spec.spikes[0])[0])
@@ -702,7 +704,7 @@ def run_goe_entries(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def run_vesd(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    spec, pop, law, h2 = _population(cfg)
+    spec, pop, law, h2, gamma = _population(cfg)
     h1n = DiscreteMeasure.from_values(pop[2])
     (pi, _), _ = _pi_pairs(cfg, cfg.p, pop[1])
     sig_eig = (pop[2], pop[1])
@@ -718,7 +720,7 @@ def run_vesd(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     sqrt_p = np.sqrt(cfg.p)
 
     def statistic(sample):
-        bundle = build_scm(sample, population=pop)
+        bundle = build_scm(sample, gamma=gamma)
         q = bundle.eigenvectors.T @ pi
         w = q ** 2
         s1 = sqrt_p * (float(w @ bundle.eigenvalues) - centering["x"])

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elliprmt.covariance import (ScmBundle, bilinear_resolvent, build_scm,
+from elliprmt import covariance
+from elliprmt.covariance import (ScmBundle, _eigvalsh, _population_root,
+                                 bilinear_resolvent, build_scm,
                                  spike_determinant_residual, spiked_quadform, vesd)
 from elliprmt.errors import ConfigError, DomainError, PoleError
 from elliprmt.lsd import solve_lsd
@@ -86,6 +93,130 @@ def test_eigenvalue_only_scm_matches_full(kind, nu, seed):
     lam1, ref = only.top_eigenvalues(1)[0], full.top_eigenvalues(1)[0]
     assert abs(lam1 - ref) <= 1e-12 * ref
     assert np.all(np.diff(only.eigenvalues) >= 0)
+
+
+def _symmetric(kind, p, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((p, p))
+    if kind == "identity":
+        return np.eye(p)
+    if kind == "scm":          # rank-deficient whenever n < p
+        n = int(rng.integers(1, 2 * p + 1))
+        x = rng.standard_normal((p, n)) * rng.gamma(1.0, size=n)
+        s = x @ x.T / n
+    else:                      # an indefinite matrix with both triangles set
+        s = rng.standard_normal((p, p))
+    return 0.5 * (s + s.T)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["scm", "sym", "zero", "identity"]),
+       p=st.integers(1, 260), seed=st.integers(0, 2 ** 32 - 1))
+def test_eigvalsh_matches_numpy(kind, p, seed):
+    s = _symmetric(kind, p, seed)
+    assert np.array_equal(_eigvalsh(s), np.linalg.eigvalsh(s))
+
+
+def test_eigvalsh_reads_the_lower_triangle_as_numpy_does():
+    a = np.random.default_rng(4).standard_normal((9, 9))
+    assert np.array_equal(_eigvalsh(a), np.linalg.eigvalsh(a))
+
+
+def test_eigvalsh_is_bound_where_numpy_bundles_openblas():
+    lib = covariance._NUMPY_LINALG
+    if getattr(lib, "scipy_openblas_get_num_threads64_", None) is None:
+        pytest.skip("numpy does not bundle the ILP64 scipy-openblas")
+    assert covariance._DSYEVD is not None
+
+
+def _outcome(fn, a):
+    try:
+        return fn(a)
+    except np.linalg.LinAlgError:
+        return "LinAlgError"
+
+
+@pytest.mark.parametrize("p", [3, 10, 200])
+def test_eigvalsh_error_parity(p):
+    nan = np.full((p, p), np.nan)
+    assert _outcome(_eigvalsh, nan) == _outcome(np.linalg.eigvalsh, nan) == "LinAlgError"
+    # an inf entry gives NaN eigenvalues, or at larger p no convergence:
+    # either way the two paths agree
+    inf = np.eye(p)
+    inf[1, 2] = inf[2, 1] = np.inf
+    ours, ref = _outcome(_eigvalsh, inf), _outcome(np.linalg.eigvalsh, inf)
+    if p <= 10:
+        assert np.isnan(ref).all()
+    if isinstance(ref, str):
+        assert ours == ref
+    else:
+        assert np.array_equal(ours, ref, equal_nan=True)
+
+
+def test_eigvalsh_concurrent_threads_match_serial():
+    """Four threads decomposing distinct matrices at once, with the
+    workspace query raced too, get exactly the one-thread results."""
+    mats = [[_symmetric("scm", 40 + 17 * t + i % 5, 1000 * t + i) for i in range(50)]
+            for t in range(4)]
+    want = [[np.linalg.eigvalsh(m) for m in row] for row in mats]
+    got = [None] * 4
+
+    def work(t):
+        got[t] = [_eigvalsh(m) for m in mats[t]]
+
+    covariance._dsyevd_workspace.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for row_got, row_want in zip(got, want):
+        assert len(row_got) == 50
+        assert all(np.array_equal(a, b) for a, b in zip(row_got, row_want))
+
+
+def test_eigvalsh_fallback_without_binding(monkeypatch):
+    mats = [_symmetric("scm", p, p) for p in (1, 7, 120)]
+    bound = [_eigvalsh(m) for m in mats]
+    monkeypatch.setattr(covariance, "_DSYEVD", None)
+    for m, b in zip(mats, bound):
+        out = _eigvalsh(m)
+        assert np.array_equal(out, np.linalg.eigvalsh(m))
+        assert np.array_equal(out, b)
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_build_scm_with_precomputed_root(vectors):
+    sample, spec = _spiked_sample(40, 30, seed=6)
+    pop = build_population(spec)
+    gamma = _population_root(pop)
+    own = build_scm(sample, vectors=vectors)
+    given_pop = build_scm(sample, population=pop, vectors=vectors)
+    given_root = build_scm(sample, vectors=vectors, gamma=gamma)
+    for other in (given_pop, given_root):
+        assert np.array_equal(other.matrix, own.matrix)
+        assert np.array_equal(other.eigenvalues, own.eigenvalues)
+        if vectors:
+            assert np.array_equal(other.eigenvectors, own.eigenvectors)
+        else:
+            assert other.eigenvectors is None
+
+
+def test_negative_population_eigenvalue_raises():
+    sample, spec = _spiked_sample(10, 20, seed=7)
+    sigma, u0, d0 = build_population(spec)
+    bad = (sigma, u0, np.concatenate([d0[:-1], [-1e-3]]))
+    with pytest.raises(DomainError, match="nonnegative"):
+        _population_root(bad)
+    with pytest.raises(DomainError, match="nonnegative"):
+        build_scm(sample, population=bad)
 
 
 def test_eigenvalue_only_scm_has_no_vectors():

@@ -345,7 +345,7 @@ def test_vesd_with_spike():
     assert res.failures == 0
     assert all(np.all(np.isfinite(v)) for v in res.summary.values()
                if isinstance(v, (float, list)))
-    spec, (_, evecs, evals), _, h2 = _population(cfg)
+    spec, (_, evecs, evals), _, h2, _ = _population(cfg)
     theta, _ = transition(cfg.c, nonspiked_spectrum_measure(spec), h2, 8.0)
     # the reference CDF runs over the contour's span, which must enclose theta
     # and the whole finite-p law: its mass reaches 1 and int x dF = pi' Sigma pi
