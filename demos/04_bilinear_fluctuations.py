@@ -59,6 +59,6 @@ res = run_experiment(cfg, jobs=4)
 print(f"empirical variance {res.summary['var'][0]:.4f} vs contour quadrature "
       f"{res.theory['cov']['x_x']:.4f} (ratio {res.summary['var_ratio'][0]:.3f})")
 pi = np.zeros(8); pi[0] = 1.0
-exact = eigvec_stat_cov(0.5, D1, D1, np.eye(8), pi, lambda z: z, lambda z: z)
+exact = eigvec_stat_cov(0.5, D1, D1, np.eye(8), pi, [lambda z: z])[0, 0]
 print(f"dimension-free theory value {exact:.4f} "
       f"(= 2c exactly in this isotropic light-tail case)")

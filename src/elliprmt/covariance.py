@@ -178,8 +178,9 @@ def build_scm(sample: EllipticalSample,
         gamma = _population_root(population)
     scale = np.sqrt(sample.p ** 2 / sample.law.m_p)
     gx = gamma @ sample.data
+    # gx @ gx.T runs as a rank-k update (syrk), which fills one triangle and
+    # mirrors it, so S is symmetric bit for bit
     s = (scale / sample.n) * (gx @ gx.T)
-    s = 0.5 * (s + s.T)
     if vectors:
         evals, evecs = np.linalg.eigh(s)
     else:

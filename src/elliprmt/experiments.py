@@ -731,14 +731,12 @@ def run_vesd(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     columns = ["stat_x", "stat_x2", "stat_const"]
     records, failures = _replicates(cfg, jobs, columns, statistic, spec, law)
 
-    var_theory = {}
-    for na, nb in [("x", "x"), ("x2", "x2"), ("x", "x2")]:
-        var_theory[f"{na}_{nb}"] = eigvec_stat_cov(cfg.c, h1n, h2, sig_eig, pi,
-                                                   zetas[na], zetas[nb],
-                                                   contour=contour, quad_n=96)
-    conv_check = eigvec_stat_cov(cfg.c, h1n, h2, sig_eig, pi,
-                                 zetas["x"], zetas["x"], contour=contour,
-                                 quad_n=192)
+    cov = eigvec_stat_cov(cfg.c, h1n, h2, sig_eig, pi, [zetas["x"], zetas["x2"]],
+                          contour=contour, quad_n=96)
+    var_theory = {"x_x": float(cov[0, 0]), "x2_x2": float(cov[1, 1]),
+                  "x_x2": float(cov[0, 1])}
+    conv_check = float(eigvec_stat_cov(cfg.c, h1n, h2, sig_eig, pi, [zetas["x"]],
+                                       contour=contour, quad_n=192)[0, 0])
 
     s1 = _finite(records[:, 0])
     s2 = _finite(records[:, 1])

@@ -14,7 +14,11 @@ when H2 = delta_1.  The kernels are written in two functions only:
 
 The contour quadratures solve all of their nodes in one call of the
 batched solver and evaluate the test functions zeta once on the node
-array, so a zeta must accept an array of z.
+array, so a zeta must accept an array of z.  ``eigvec_stat_cov`` takes K
+test functions and returns their K x K covariance matrix from one solve
+per contour; it builds the varpi kernel in blocks of rows of the inner
+node grid and contracts each block against every test function at once,
+so the whole node grid is never held.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
 ]
 
 _COINCIDENT_TOL = 1e-12
+_ROW_BLOCK = 64  # inner nodes per block of the varpi grid in eigvec_stat_cov
 
 
 @dataclass(frozen=True)
@@ -300,51 +305,54 @@ def _on_nodes(zeta, nodes: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(zeta(nodes), dtype=np.complex128), nodes.shape)
 
 
-def _varpi_matrix(c, vals1, vals2, evals, weights_pi):
-    """varpi(z1, z2) = 2 h1 r11(z1,z2)^2 + h2 r11(z1) r11(z2) on a node grid,
-    from the :func:`_solved` tuples of the two node arrays."""
-    h1m, h2m, _ = _pair_kernels(c, [v[:, None] for v in vals1], [v[None, :] for v in vals2])
-    # r11 cross matrix: sum_j w_j d_j / ((1+g2(z1)d_j)(1+g2(z2)d_j))
-    t1 = 1.0 / (1.0 + np.multiply.outer(vals1[2], evals))   # (n1, p)
-    t2 = 1.0 / (1.0 + np.multiply.outer(vals2[2], evals))   # (n2, p)
-    wd = weights_pi * evals
-    r_cross = (t1 * wd) @ t2.T
-    r_one_1 = np.sum(t1 * t1 * wd, axis=1)
-    r_one_2 = np.sum(t2 * t2 * wd, axis=1)
-    return 2.0 * h1m * r_cross ** 2 + h2m * np.multiply.outer(r_one_1, r_one_2)
-
-
 def eigvec_stat_cov(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
-                    pi: np.ndarray, zeta_t, zeta_s,
-                    contour: ContourSpec | None = None, quad_n: int = 96) -> float:
-    """Limit covariance of the eigenvector statistics int zeta d G_n.
+                    pi: np.ndarray, zetas, contour: ContourSpec | None = None,
+                    quad_n: int = 96) -> np.ndarray:
+    """Limit covariance matrix of the eigenvector statistics int zeta d G_n.
 
-    Evaluates -(2 pi i)^{-2} times the double contour integral of
-    zeta_t(z1) zeta_s(z2) varpi(z1, z2) over two nested counterclockwise
-    rectangles (outer/inner offset by ``separation``), by per-side trapezoid
-    quadrature with ``quad_n`` nodes per side.  ``zeta_t`` and ``zeta_s``
-    are called once each, on the array of nodes.
+    For the sequence of K test functions ``zetas``, entry (a, b) of the
+    K x K result is -(2 pi i)^{-2} times the double contour integral of
+    zeta_a(z1) zeta_b(z2) varpi(z1, z2), with
+    varpi = 2 h1 r11(z1, z2)^2 + h2 r11(z1) r11(z2), z1 on the inner and z2
+    on the outer of two nested counterclockwise rectangles (offset by
+    ``separation``), by per-side trapezoid quadrature with ``quad_n`` nodes
+    per side.  Each contour is solved once, and each zeta is called once
+    per contour, on the array of nodes.  varpi is evaluated in blocks of
+    ``_ROW_BLOCK`` inner nodes, each contracted at once against every test
+    function, so the memory is bounded by one block, not by the whole grid.
     """
     if contour is None:
         contour = default_contour(c, h1, h2)
     outer, inner = contour, contour.inner()
     evals, evecs = _sigma_eig(sigma)
     proj = evecs.T @ np.asarray(pi, dtype=np.float64).ravel()
-    wpi = proj ** 2
+    wd = proj ** 2 * evals
 
     nodes1, w1 = _contour_nodes(inner, quad_n)
     nodes2, w2 = _contour_nodes(outer, quad_n)
     vals1 = _solved(c, h1, h2, nodes1)
     vals2 = _solved(c, h1, h2, nodes2)
-    varpi = _varpi_matrix(c, vals1, vals2, evals, wpi)
-    integral = np.einsum("i,j,ij->", w1 * _on_nodes(zeta_t, nodes1),
-                         w2 * _on_nodes(zeta_s, nodes2), varpi)
+    a1 = np.stack([w1 * _on_nodes(f, nodes1) for f in zetas], axis=1)   # (n1, K)
+    a2 = np.stack([w2 * _on_nodes(f, nodes2) for f in zetas], axis=1)   # (n2, K)
+    # r11 cross matrix: sum_j w_j d_j / ((1+g2(z1)d_j)(1+g2(z2)d_j))
+    t2 = 1.0 / (1.0 + np.multiply.outer(vals2[2], evals))              # (n2, p)
+    r_one_2 = np.sum(t2 * t2 * wd, axis=1)
+    cols = [v[None, :] for v in vals2]
+    integral = np.zeros((a1.shape[1], a2.shape[1]), dtype=np.complex128)
+    for start in range(0, nodes1.size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        h1m, h2m, _ = _pair_kernels(c, [v[rows, None] for v in vals1], cols)
+        t1 = 1.0 / (1.0 + np.multiply.outer(vals1[2][rows], evals))     # (block, p)
+        r_cross = (t1 * wd) @ t2.T
+        r_one_1 = np.sum(t1 * t1 * wd, axis=1)
+        varpi = 2.0 * h1m * r_cross ** 2 + h2m * np.multiply.outer(r_one_1, r_one_2)
+        integral += a1[rows].T @ (varpi @ a2)
     value = integral / (2.0j * np.pi) ** 2
-    if abs(value.imag) > 1e-4 * max(1.0, abs(value.real)):
+    if np.any(np.abs(value.imag) > 1e-4 * np.maximum(1.0, np.abs(value.real))):
         raise DomainError(
             f"covariance quadrature returned a non-real value {value!r}; "
             "the contour likely clips the support")
-    return float(value.real)
+    return value.real
 
 
 def contour_moment(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from elliprmt.experiments import ExperimentConfig, run_experiment
-from elliprmt.kernels import eigvec_stat_cov
 from elliprmt.lsd import derivatives, solve_lsd, solve_lsd_real
 from elliprmt.measures import DiscreteMeasure
 from elliprmt.spikes import overlap_sq, sigma_delta_sq, transition

@@ -209,6 +209,24 @@ def test_build_scm_with_precomputed_root(vectors):
             assert other.eigenvectors is None
 
 
+@pytest.mark.parametrize("p,n", [(200, 400), (50, 20), (3, 7), (300, 100)])
+def test_scm_is_exactly_symmetric(p, n):
+    # build_scm does not symmetrize S: it must come out symmetric bit for bit
+    # and decompose exactly as its symmetrized copy would
+    spec = PopulationSpec(p=p, spikes=(), bulk="uniform", bulk_seed=99,
+                          toeplitz_rho=0.9)
+    sample = draw_sample(spec, RadiusLaw("two-point", p=p, nu_p=float(p)), n, p + n)
+    full = build_scm(sample)
+    only = build_scm(sample, vectors=False)
+    s = full.matrix
+    assert np.array_equal(s, s.T)
+    sym = 0.5 * (s + s.T)
+    evals, evecs = np.linalg.eigh(sym)
+    assert np.array_equal(full.eigenvalues, evals)
+    assert np.array_equal(full.eigenvectors, evecs)
+    assert np.array_equal(only.eigenvalues, _eigvalsh(sym))
+
+
 def test_negative_population_eigenvalue_raises():
     sample, spec = _spiked_sample(10, 20, seed=7)
     sigma, u0, d0 = build_population(spec)

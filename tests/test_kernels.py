@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from elliprmt.kernels import (ContourSpec, contour_moment, cov_m, cov_m_diagonal
                               default_contour, deterministic_equivalent,
                               eigvec_stat_cov, kernels, kernels_diagonal,
                               r_functionals)
+from elliprmt.kernels import _ROW_BLOCK, _pair_kernels, _solved
 from elliprmt.lsd import find_bulk_edges, solve_lsd, solve_lsd_point
 from elliprmt.measures import DiscreteMeasure, RadiusLaw, radius_law_to_h2
 from elliprmt.spikes import sigma_delta_sq
@@ -15,6 +18,14 @@ from elliprmt.spikes import sigma_delta_sq
 D1 = DiscreteMeasure.point_mass(1.0)
 H2_HEAVY = DiscreteMeasure(np.array([0.0, np.sqrt(2.0)]), np.array([0.5, 0.5]))
 C = 0.5
+
+
+def _x(z):
+    return z
+
+
+def _x2(z):
+    return z * z
 
 
 def _neville(ts, fs):
@@ -240,29 +251,25 @@ def test_contour_moment_mp_second_moment():
 def test_eigvec_stat_cov_matches_exact_limits():
     pi = np.zeros(8)
     pi[0] = 1
-    light = eigvec_stat_cov(C, D1, D1, np.eye(8), pi, lambda z: z, lambda z: z,
-                            quad_n=96)
-    assert abs(light - 2 * C) < 5e-4  # exact limit of Var(sqrt(p) S_11)
-    heavy = eigvec_stat_cov(C, D1, H2_HEAVY, np.eye(8), pi, lambda z: z,
-                            lambda z: z, quad_n=96)
-    assert abs(heavy - 1.25) < 5e-4  # exact limit 2.5c under the nu=p^2 law
+    light = eigvec_stat_cov(C, D1, D1, np.eye(8), pi, [_x], quad_n=96)
+    assert abs(light[0, 0] - 2 * C) < 5e-4  # exact limit of Var(sqrt(p) S_11)
+    heavy = eigvec_stat_cov(C, D1, H2_HEAVY, np.eye(8), pi, [_x], quad_n=96)
+    assert abs(heavy[0, 0] - 1.25) < 5e-4  # exact limit 2.5c under the nu=p^2 law
 
 
 def test_eigvec_stat_cov_constant_vanishes():
     pi = np.zeros(6)
     pi[0] = 1
-    val = eigvec_stat_cov(C, D1, D1, np.eye(6), pi, lambda z: 1 + 0 * z,
-                          lambda z: 1 + 0 * z, quad_n=96)
-    assert abs(val) < 1e-3
+    val = eigvec_stat_cov(C, D1, D1, np.eye(6), pi, [lambda z: 1 + 0 * z],
+                          quad_n=96)
+    assert abs(val[0, 0]) < 1e-3
 
 
 def test_eigvec_stat_cov_node_doubling():
     pi = np.zeros(6)
     pi[0] = 1
-    a = eigvec_stat_cov(C, D1, D1, np.eye(6), pi, lambda z: z, lambda z: z,
-                        quad_n=96)
-    b = eigvec_stat_cov(C, D1, D1, np.eye(6), pi, lambda z: z, lambda z: z,
-                        quad_n=192)
+    a = eigvec_stat_cov(C, D1, D1, np.eye(6), pi, [_x], quad_n=96)[0, 0]
+    b = eigvec_stat_cov(C, D1, D1, np.eye(6), pi, [_x], quad_n=192)[0, 0]
     assert abs(a - b) / abs(b) < 1e-4
 
 
@@ -303,8 +310,7 @@ def test_eigvec_stat_cov_grid_matches_scalar_kernels(h2):
     sigma = _toeplitz(p)
     h1 = DiscreteMeasure.from_values(np.linalg.eigvalsh(sigma))
     pi = np.full(p, 1 / np.sqrt(p))
-    got = eigvec_stat_cov(C, h1, h2, sigma, pi, lambda z: z, lambda z: z,
-                          quad_n=quad_n)
+    got = eigvec_stat_cov(C, h1, h2, sigma, pi, [_x], quad_n=quad_n)[0, 0]
     outer = default_contour(C, h1, h2)
     nodes1, w1 = _trapezoid(outer.inner(), quad_n)
     nodes2, w2 = _trapezoid(outer, quad_n)
@@ -319,6 +325,72 @@ def test_eigvec_stat_cov_grid_matches_scalar_kernels(h2):
             total += a * b * z1 * z2 * (2 * kv.h1 * r_cross ** 2 + kv.h2 * r1 * r2)
     want = (total / (2j * np.pi) ** 2).real
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _full_grid_cov(c, h1, h2, sigma, pi, zeta_a, zeta_b, quad_n):
+    """Reference: the whole (n1, n2) varpi matrix at once, contracted by one
+    sum over the grid, with zeta_a on the inner contour."""
+    outer = default_contour(c, h1, h2)
+    nodes1, w1 = (np.array(v) for v in _trapezoid(outer.inner(), quad_n))
+    nodes2, w2 = (np.array(v) for v in _trapezoid(outer, quad_n))
+    vals1, vals2 = _solved(c, h1, h2, nodes1), _solved(c, h1, h2, nodes2)
+    h1m, h2m, _ = _pair_kernels(c, [v[:, None] for v in vals1],
+                                [v[None, :] for v in vals2])
+    evals, evecs = np.linalg.eigh(sigma)
+    wd = (evecs.T @ pi) ** 2 * evals
+    t1 = 1.0 / (1.0 + np.multiply.outer(vals1[2], evals))
+    t2 = 1.0 / (1.0 + np.multiply.outer(vals2[2], evals))
+    r_cross = (t1 * wd) @ t2.T
+    r_one_1 = np.sum(t1 * t1 * wd, axis=1)
+    r_one_2 = np.sum(t2 * t2 * wd, axis=1)
+    varpi = 2.0 * h1m * r_cross ** 2 + h2m * np.multiply.outer(r_one_1, r_one_2)
+    integral = np.einsum("i,j,ij->", w1 * zeta_a(nodes1), w2 * zeta_b(nodes2), varpi)
+    return (integral / (2j * np.pi) ** 2).real
+
+
+@pytest.mark.parametrize("h2", [D1, radius_law_to_h2(RadiusLaw("two-point", 8, 64.0))])
+def test_eigvec_stat_cov_blocks_match_full_grid(h2):
+    # 17 nodes per side give 68 per contour: one full block of 64 inner
+    # nodes and a remainder of 4
+    p, quad_n = 8, 17
+    assert 4 * quad_n == _ROW_BLOCK + 4
+    sigma = _toeplitz(p)
+    h1 = DiscreteMeasure.from_values(np.linalg.eigvalsh(sigma))
+    pi = np.full(p, 1 / np.sqrt(p))
+    got = eigvec_stat_cov(C, h1, h2, sigma, pi, [_x, _x2], quad_n=quad_n)
+    assert got.shape == (2, 2)
+    f = (_x, _x2)
+    for a in range(2):
+        for b in range(2):
+            want = _full_grid_cov(C, h1, h2, sigma, pi, f[a], f[b], quad_n)
+            assert abs(got[a, b] - want) <= 1e-13 * abs(want), (a, b)
+        alone = eigvec_stat_cov(C, h1, h2, sigma, pi, [f[a]], quad_n=quad_n)
+        assert alone.shape == (1, 1)
+        assert abs(got[a, a] - alone[0, 0]) <= 1e-13 * abs(alone[0, 0])
+
+
+def test_eigvec_stat_cov_memory_is_bounded_by_a_block():
+    # the whole 768 x 768 grid would take 63 MiB at its peak
+    p = 200
+    h2 = radius_law_to_h2(RadiusLaw("two-point", p, float(p)))
+    pi = np.eye(p)[0]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        eigvec_stat_cov(C, D1, h2, np.eye(p), pi, [_x], quad_n=192)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+
+
+def test_eigvec_stat_cov_rejects_non_real_entries():
+    # i x is not real on the real axis: only the off-diagonal entries of the
+    # [x, i x] covariance are imaginary, and they alone must raise
+    pi = np.eye(6)[0]
+    with pytest.raises(DomainError, match="non-real"):
+        eigvec_stat_cov(C, D1, D1, np.eye(6), pi, [_x, lambda z: 1j * z], quad_n=24)
 
 
 # Heavy-tail kernel outputs as they stood when each kernel expression was
@@ -354,9 +426,8 @@ def test_heavy_tail_kernels_pinned():
     got["sigma11_sq"], got["sigma12_sq"] = kernels_diagonal(c, h1, h2, 1.5 + 1.0j)
     got["cov_m"] = cov_m(c, h1, h2, sigma, pis, 1.2 + 0.9j, 2.2 + 0.7j)
     got["cov_m_diagonal"] = cov_m_diagonal(c, h1, h2, sigma, pis, 1.4 + 0.9j)
-    f = {"x": lambda z: z, "x2": lambda z: z * z}
-    for a, b in (("x", "x"), ("x", "x2"), ("x2", "x2")):
-        got[f"{a}_{b}"] = eigvec_stat_cov(c, h1, h2, sigma, u, f[a], f[b])
+    cov = eigvec_stat_cov(c, h1, h2, sigma, u, [_x, _x2])
+    got["x_x"], got["x_x2"], got["x2_x2"] = cov[0, 0], cov[0, 1], cov[1, 1]
     got["sigma_delta_sq"] = sigma_delta_sq(c, h1, h2, 15.0)
     for key, want in PINNED_HEAVY.items():
         assert abs(got[key] - want) <= 1e-13 * abs(want), key
