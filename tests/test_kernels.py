@@ -386,8 +386,8 @@ def test_eigvec_stat_cov_memory_is_bounded_by_a_block():
 
 
 def test_eigvec_stat_cov_rejects_non_real_entries():
-    # i x is not real on the real axis: only the off-diagonal entries of the
-    # [x, i x] covariance are imaginary, and they alone must raise
+    # i x is not real on the real axis: the diagonal entries of the [x, i x]
+    # covariance are real, so only the check on the off-diagonal ones raises
     pi = np.eye(6)[0]
     with pytest.raises(DomainError, match="non-real"):
         eigvec_stat_cov(C, D1, D1, np.eye(6), pi, [_x, lambda z: 1j * z], quad_n=24)
