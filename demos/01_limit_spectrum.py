@@ -9,8 +9,7 @@ two-point radius law, whose squared radius is 0 or 2p with equal odds.
 
 import numpy as np
 
-from elliprmt import (DiscreteMeasure, find_bulk_edges, solve_lsd,
-                      solve_lsd_real, stieltjes_invert)
+from elliprmt import DiscreteMeasure, find_bulk_edges, solve_lsd, stieltjes_invert
 
 c = 0.5
 h1 = DiscreteMeasure.point_mass(1.0)           # identity population
@@ -43,8 +42,8 @@ for name, h2 in (("light", h2_light), ("heavy", h2_heavy)):
 print(f"light-tail closed-form edges: "
       f"[{(1-np.sqrt(c))**2:.4f}, {(1+np.sqrt(c))**2:.4f}]")
 
-print("\n== real-axis continuation outside the bulk ==")
+print("\n== the real axis outside the bulk ==")
 x = 60 / 7
-sol = solve_lsd_real(c, h1, h2_light, x)
+sol = solve_lsd(c, h1, h2_light, x)
 print(f"x = 60/7: g2(x) = {sol.g2.real:.8f} "
       f"(equals -1/8: this is where a spike of size 8 lands)")

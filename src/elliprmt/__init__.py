@@ -16,7 +16,7 @@ from .covariance import (ScmBundle, Vesd, bilinear_resolvent, build_scm,
                          spike_determinant_residual, spiked_quadform, vesd)
 from .lsd import (InvertedLaw, LsdDerivatives, LsdSolution, derivatives,
                   find_bulk_edges, outer_support_bracket, solve_lsd,
-                  solve_lsd_point, solve_lsd_real, stieltjes_invert)
+                  stieltjes_invert)
 from .kernels import (ContourSpec, KernelValues, RFunctionals, contour_moment,
                       cov_m, cov_m_diagonal, default_contour,
                       deterministic_equivalent, eigvec_stat_cov, kernels,

@@ -180,7 +180,8 @@ def build_parser() -> _Parser:
     ls.add_argument("--c", type=float, required=True)
     ls.add_argument("--h1", required=True)
     ls.add_argument("--h2", required=True)
-    ls.add_argument("--z", required=True, help="complex point as 're,im'")
+    ls.add_argument("--z", required=True,
+                    help="point as 're,im'; im = 0 solves on the real axis outside the bulk")
     ls.add_argument("--tol", type=float, default=1e-12)
     ls.add_argument("--max-iter", type=int, default=10_000)
     ls.set_defaults(func=_cmd_lsd_solve)

@@ -34,7 +34,7 @@ from .covariance import (_NUMPY_LINALG, _population_root, build_scm,
 from .errors import ConfigError
 from .kernels import (contour_moment, cov_m, cov_m_diagonal, default_contour,
                       deterministic_equivalent, eigvec_stat_cov)
-from .lsd import solve_lsd, solve_lsd_real, stieltjes_invert
+from .lsd import solve_lsd, stieltjes_invert
 from .measures import DiscreteMeasure, RadiusLaw, radius_law_to_h2
 from .sampler import (PopulationSpec, build_population, draw_sample,
                       nonspiked_spectrum_measure, quadform_moment_oracle,
@@ -143,13 +143,13 @@ class ExperimentConfig:
 
     def radius_law(self, p: int | None = None) -> RadiusLaw:
         p = self.p if p is None else p
-        rule = self.radius.get("nu_rule", "0")
-        nu = _nu_value(rule, p)
         kind = self.radius.get("kind", "two-point")
+        rule = self.radius.get("nu_rule", "2p" if kind == "chi-square" else "0")
+        if kind == "chi-square" and rule != "2p":
+            raise ConfigError(f"a chi-square radius forces nu_rule '2p', not {rule!r}")
+        nu = _nu_value(rule, p)
         if kind == "two-point" and nu == 0.0:
             kind = "deterministic"
-        if kind == "chi-square":
-            nu = 2.0 * p
         return RadiusLaw(kind=kind, p=p, nu_p=nu)
 
     def population_spec(self, p: int | None = None) -> PopulationSpec:
@@ -661,7 +661,7 @@ def run_goe_entries(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     h1n = nonspiked_spectrum_measure(spec)
     z = (float(cfg.z_real) if cfg.z_real is not None
          else transition(cfg.c, h1n, h2, spec.spikes[0])[0])
-    g2n = solve_lsd_real(cfg.c, h1n, h2, z).g2.real
+    g2n = solve_lsd(cfg.c, h1n, h2, z).g2.real
     profile = goe_covariance_profile(cfg.c, h1n, h2, z, k)
     sqrt_p = np.sqrt(cfg.p)
 
@@ -714,9 +714,8 @@ def run_vesd(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     # finite-p component.
     contour = default_contour(cfg.c, h1n, h2)
     zetas = {"x": lambda zz: zz, "x2": lambda zz: zz * zz}
-    centering = {name: contour_moment(cfg.c, h1n, h2, sig_eig, pi, f,
-                                      contour=contour, quad_n=256)
-                 for name, f in zetas.items()}
+    centering = dict(zip(zetas, contour_moment(cfg.c, h1n, h2, sig_eig, pi, zetas.values(),
+                                               contour=contour, quad_n=256).tolist()))
     sqrt_p = np.sqrt(cfg.p)
 
     def statistic(sample):

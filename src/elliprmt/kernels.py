@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, PoleError
-from .lsd import derivatives, outer_support_bracket, solve_lsd_point
+from .lsd import derivatives, outer_support_bracket, solve_lsd
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -89,7 +89,7 @@ def _sigma_eig(sigma) -> tuple[np.ndarray, np.ndarray]:
 def _solved(c, h1, h2, z):
     """(z, g1, g2, m_under, g2') at a point or an array of points, the
     per-point argument of :func:`_pair_kernels`."""
-    sol = solve_lsd_point(c, h1, h2, z)
+    sol = solve_lsd(c, h1, h2, z)
     return sol.z, sol.g1, sol.g2, sol.m_under, derivatives(sol, c, h1, h2).g2p
 
 
@@ -123,7 +123,7 @@ def _diagonal_kernels(c, z, der):
 
 def _at_point(c, h1, h2, z):
     """The solution at one point and the coincident kernels there."""
-    sol = solve_lsd_point(c, h1, h2, z)
+    sol = solve_lsd(c, h1, h2, z)
     return sol, _diagonal_kernels(c, sol.z, derivatives(sol, c, h1, h2))
 
 
@@ -356,14 +356,15 @@ def eigvec_stat_cov(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
 
 
 def contour_moment(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
-                   pi: np.ndarray, zeta, contour: ContourSpec | None = None,
-                   quad_n: int = 256) -> float:
-    """int zeta dF for the anisotropic reference law, by contour quadrature.
+                   pi: np.ndarray, zetas, contour: ContourSpec | None = None,
+                   quad_n: int = 256) -> np.ndarray:
+    """int zeta dF for the anisotropic reference law, by contour quadrature,
+    for each zeta of the sequence ``zetas``, from one solve of the contour.
 
     Uses int zeta dF = -(2 pi i)^{-1} oint zeta(z) s(z) dz with
     s(z) = -z^{-1} pi^T (I + g2(z) Sigma)^{-1} pi.  The constant part of
     zeta is split off and integrated exactly (the law has total mass one),
-    so a constant zeta returns exactly zeta(0).  ``zeta`` is called on 0.0
+    so a constant zeta returns exactly zeta(0).  Each zeta is called on 0.0
     and once on the array of nodes.
     """
     if contour is None:
@@ -372,9 +373,11 @@ def contour_moment(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
     proj = evecs.T @ np.asarray(pi, dtype=np.float64).ravel()
     wpi = proj ** 2
     nodes, w = _contour_nodes(contour, quad_n)
-    base = complex(zeta(0.0))
-    g2 = solve_lsd_point(c, h1, h2, nodes).g2
+    g2 = solve_lsd(c, h1, h2, nodes).g2
     s = -np.sum(wpi / (1.0 + g2[:, None] * evals), axis=1) / nodes
-    total = np.sum(w * (_on_nodes(zeta, nodes) - base) * s)
-    value = base - total / (2.0j * np.pi)
-    return float(value.real)
+    values = []
+    for zeta in zetas:
+        base = complex(zeta(0.0))
+        total = np.sum(w * (_on_nodes(zeta, nodes) - base) * s)
+        values.append((base - total / (2.0j * np.pi)).real)
+    return np.array(values)

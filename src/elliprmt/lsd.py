@@ -8,42 +8,42 @@ For aspect ratio c and input laws H1 (population spectrum) and H2
 
 and the Stieltjes transform of the limit law follows as
 ``m(z) = -z^{-1} int (1 + g2(z) x)^{-1} dH1(x)`` with companion
-``m_under(z) = -(1-c)/z + c m(z) = -1/z - g1 g2``.  Off the real axis
-``solve_lsd`` iterates a damped alternation (globally stable for Im z
-bounded away from 0) and falls back to Newton on the 2x2 complex system.
-It takes one z or an array of z: every node runs the same iteration under
-its own convergence mask, the integrals over the atoms of H1 and H2 become
-(nodes, atoms) array operations, and a node in the lower half plane is
-solved at its conjugate (Dobriban 2015 and Ledoit & Wolf's QuEST 2017
-vectorise the limit-spectrum solve over the evaluation grid the same way).
-Contours and inversion grids are therefore one call each.
+``m_under(z) = -(1-c)/z + c m(z) = -1/z - g1 g2``.  ``solve_lsd`` is the
+one solver by z, for one z or an array.  Off the real axis it iterates a
+damped alternation (globally stable for Im z bounded away from 0) and falls
+back to Newton on the 2x2 complex system.  Every node runs the same
+iteration under its own convergence mask, the integrals over the atoms of
+H1 and H2 become (nodes, atoms) array operations, and a node in the lower
+half plane is solved at its conjugate (Dobriban 2015 and Ledoit & Wolf's
+QuEST 2017 vectorise the limit-spectrum solve over the evaluation grid the
+same way).  Contours and inversion grids are therefore one call each.
 
 On the real axis outside the bulk the system inverts along one coordinate
 (Silverstein & Choi 1995; Couillet & Hachem 2014 for separable models such
 as this one, with D = diag(rho^2)).  Fixing g2 = s gives g1 = -c A(s)/z with
 A(s) = int x/(1 + s x) dH1, and z is the one root of
 -s = int y/(z - c A(s) y) dH2 above c A(s) max H2.  Spike locations are
-z(-1/alpha); bulk edges are the turning points of z(s), and the
-detectability threshold is -1/s* at the upper one.  ``solve_lsd_real``
-keeps the imaginary-offset ladder for a real point given by its x.
+z(-1/alpha) (``solve_lsd_inverse``); bulk edges are the turning points of
+z(s), and the detectability threshold is -1/s* at the upper one.  A real
+node x of ``solve_lsd`` is the root of z(s) = x, by bisection, on the
+branch of the map that holds it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError
 from .measures import DiscreteMeasure
 
 __all__ = [
     "LsdSolution",
     "LsdDerivatives",
     "solve_lsd",
-    "solve_lsd_real",
-    "solve_lsd_point",
     "derivatives",
     "stieltjes_invert",
     "InvertedLaw",
@@ -57,8 +57,6 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
 _DAMPING = 0.5
 _NEWTON_AFTER = 200
-_NEWTON_AFTER_WARM = 5
-_EPS_LADDER = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -176,17 +174,18 @@ def _newton_step(c, h1, h2, z, g1, g2, r1, r2):
     return g1 + (-r1 * z - c * i1 * r2) / det, g2 + (-r2 * z - i2 * r1) / det
 
 
-def _iterate(c, h1, h2, z, g1, g2, tol, max_iter, newton_after):
+def _iterate(c, h1, h2, z, tol, max_iter):
     """Damped alternation with guarded Newton at every node of a 1-D z with
-    Im z > 0, from (g1, g2).  A node leaves the working set once its
+    Im z > 0, from g1 = g2 = -1/z.  A node leaves the working set once its
     residual is below ``tol``; Newton is tried once a node has run
-    ``newton_after`` iterations and kept only where it lowers the residual.
+    ``_NEWTON_AFTER`` iterations and kept only where it lowers the residual.
     Returns final (g1, g2, residual, iterations) per node, with
     iterations = -1 where ``max_iter`` ran out first.
     """
     out_g1, out_g2 = np.empty_like(z), np.empty_like(z)
     out_res, out_it = np.empty(z.size), np.full(z.size, -1)
     idx = np.arange(z.size)
+    g1 = g2 = -1.0 / z
     ix, r1, r2, res = _state(c, h1, z, g1, g2, _int(h2, g1))
     for it in range(1, max_iter + 1):
         done = res < tol
@@ -201,7 +200,7 @@ def _iterate(c, h1, h2, z, g1, g2, tol, max_iter, newton_after):
         iy = _int(h2, n1)
         n2 = (1 - _DAMPING) * g2 + _DAMPING * (-iy / z)
         new = (n1, n2, *_state(c, h1, z, n1, n2, iy))
-        if it > newton_after:
+        if it > _NEWTON_AFTER:
             t1, t2 = _newton_step(c, h1, h2, z, g1, g2, r1, r2)
             newton = (t1, t2, *_state(c, h1, z, t1, t2, _int(h2, t1)))
             take = np.isfinite(t1) & np.isfinite(t2) & (newton[-1] < res)
@@ -214,8 +213,8 @@ def _iterate(c, h1, h2, z, g1, g2, tol, max_iter, newton_after):
 def _in_uniqueness_set(z, g1, g2, m):
     """Membership in U = {Im m > 0, Im(z g1) > 0, Im g2 > 0} with slack, per node.
 
-    A warm start can drag Newton onto a spurious branch of the system; only
-    the branch inside U is the Stieltjes solution.  The slack tolerates
+    Newton can land on a spurious branch of the system; only the branch
+    inside U is the Stieltjes solution.  The slack tolerates
     roundoff at Im z near 0 where the strict inequalities become marginal.
     """
     slack = -1e-9
@@ -230,16 +229,16 @@ def _node(z: np.ndarray, scalar: bool, i: int) -> str:
 
 
 def solve_lsd(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, z,
-              tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-              init=None) -> LsdSolution:
-    """Solve the coupled system at one z or at every z of an array, Im z != 0.
+              tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> LsdSolution:
+    """Solve the coupled system at one z or at every z of an array, z != 0.
 
-    Every node runs a damped alternation (damping 0.5) from g1 = g2 = -1/z
-    with a Newton fallback on the 2x2 system after 200 iterations, or after
-    5 from a warm start ``init = (g1, g2)`` (scalars or arrays shaped like
-    z).  A node with Im z < 0 is solved at its conjugate and conjugated
-    back.  A converged node outside the uniqueness set is solved again
-    from the cold start when it was warm-started, and raises otherwise.  A
+    A node off the real axis runs a damped alternation (damping 0.5) from
+    g1 = g2 = -1/z with a Newton fallback on the 2x2 system after 200
+    iterations; a node with Im z < 0 is solved at its conjugate and
+    conjugated back, and one that converges outside the uniqueness set
+    raises.  A real node x is the exact root of the inverse map on the
+    branch that holds it (:class:`_Branches`, no iterations); x inside the
+    hull [lower, upper] of the bulk raises :class:`DomainError`.  A
     :class:`ConvergenceError` names the first node that failed in its
     message and ``index``.  The degenerate inputs H1 = delta_0 or
     H2 = delta_0 short-circuit to the point-mass law with m = -1/z.
@@ -251,10 +250,9 @@ def solve_lsd(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, z,
     scalar = np.ndim(z) == 0
     shape = np.shape(z)
     z = np.asarray(z, dtype=np.complex128).ravel()
-    i = _first(z.imag == 0)
+    i = _first(z == 0)
     if i is not None:
-        raise DomainError(f"solve_lsd needs Im z != 0 ({_node(z, scalar, i)}); "
-                          "use solve_lsd_real on the real axis")
+        raise DomainError(f"solve_lsd needs z != 0 ({_node(z, scalar, i)})")
     _check_law(h1, "H1")
     _check_law(h2, "H2")
     lower = z.imag < 0
@@ -264,139 +262,38 @@ def solve_lsd(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, z,
         return np.where(lower, np.conj(v), v)
 
     trivial = h1.is_point_mass_at(0.0) or h2.is_point_mass_at(0.0)
+    its, res = np.zeros(z.size, dtype=int), np.zeros(z.size)
     with np.errstate(all="ignore"):
         if trivial:
             g1, g2 = -c * _int(h1, 0.0) / zu, -_int(h2, 0.0) / zu
-            its, res = np.zeros(z.size, dtype=int), np.zeros(z.size)
         else:
-            warm = init is not None
-            if warm:
-                g1, g2 = (flip(np.broadcast_to(np.asarray(v, dtype=np.complex128), shape).ravel())
-                          for v in init)
-            else:
-                g1 = g2 = -1.0 / zu
-            g1, g2, res, its = _iterate(c, h1, h2, zu, g1, g2, tol, max_iter,
-                                        _NEWTON_AFTER_WARM if warm else _NEWTON_AFTER)
-            _raise_unconverged(z, scalar, its, res, tol, max_iter)
-            m = -_mean_inv(h1, g2) / zu
-            out = ~_in_uniqueness_set(zu, g1, g2, m)
-            if warm and out.any():
-                k = np.flatnonzero(out)
-                g1[k], g2[k], res[k], its[k] = _iterate(
-                    c, h1, h2, zu[k], -1.0 / zu[k], -1.0 / zu[k], tol, max_iter, _NEWTON_AFTER)
-                _raise_unconverged(z, scalar, its, res, tol, max_iter)
-                m[k] = -_mean_inv(h1, g2[k]) / zu[k]
-                out[k] = ~_in_uniqueness_set(zu[k], g1[k], g2[k], m[k])
-            i = _first(out)
-            if i is not None:
-                raise ConvergenceError(
-                    f"converged to a point outside the uniqueness set at {_node(z, scalar, i)} "
-                    f"(m={complex(flip(m)[i])!r}, g2={complex(flip(g2)[i])!r})",
-                    residual=float(res[i]), iterations=int(its[i]), index=i)
+            g1, g2 = np.empty_like(zu), np.empty_like(zu)
+            on = np.flatnonzero(zu.imag == 0)
+            if on.size:
+                branches = _Branches(c, h1, h2)
+                for k in on:
+                    g1[k], g2[k] = branches.solve(zu[k].real, _node(z, scalar, k))
+                res[on] = _residual(c, h1, h2, zu[on], g1[on], g2[on])
+            off = np.flatnonzero(zu.imag != 0)
+            if off.size:
+                g1[off], g2[off], res[off], its[off] = _iterate(c, h1, h2, zu[off], tol, max_iter)
+                i = _first(its < 0)
+                if i is not None:
+                    raise ConvergenceError(
+                        f"fixed-point iteration did not reach tol={tol} at {_node(z, scalar, i)} "
+                        f"(last residual {res[i]:.3e})", residual=float(res[i]),
+                        iterations=max_iter, index=i)
+                m = -_mean_inv(h1, g2) / zu  # real nodes pass the test of U
+                i = _first(~_in_uniqueness_set(zu, g1, g2, m))
+                if i is not None:
+                    raise ConvergenceError(
+                        "converged to a point outside the uniqueness set at "
+                        f"{_node(z, scalar, i)} (m={complex(flip(m)[i])!r}, "
+                        f"g2={complex(flip(g2)[i])!r})",
+                        residual=float(res[i]), iterations=int(its[i]), index=i)
         # conjugation commutes with every operation of _finish, so it works at z itself
         z, g1, g2 = (complex(v[0]) if scalar else v.reshape(shape) for v in (z, flip(g1), flip(g2)))
         return _finish(c, h1, z, g1, g2, its.sum(), res.max(initial=0.0), trivial)
-
-
-def _raise_unconverged(z, scalar, its, res, tol, max_iter) -> None:
-    i = _first(its < 0)
-    if i is not None:
-        raise ConvergenceError(
-            f"fixed-point iteration did not reach tol={tol} at {_node(z, scalar, i)} "
-            f"(last residual {res[i]:.3e})", residual=float(res[i]), iterations=max_iter,
-            index=i)
-
-
-def _neville_at_zero(ts: np.ndarray, fs: np.ndarray) -> complex:
-    """Polynomial extrapolation of f(t) to t = 0 (Neville's scheme)."""
-    vals = np.array(fs, dtype=np.complex128)
-    k = len(vals)
-    for j in range(1, k):
-        for i in range(k - j):
-            vals[i] = ((0.0 - ts[i + j]) * vals[i] + (ts[i] - 0.0) * vals[i + 1]) \
-                / (ts[i] - ts[i + j])
-    return complex(vals[0])
-
-
-def solve_lsd_real(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, x: float,
-                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> LsdSolution:
-    """Solve on the real axis at a point x strictly outside the bulk support.
-
-    Values are continued down the ladder z = x + i eps, eps in
-    {1e-3, ..., 1e-8}, Richardson-extrapolated to eps = 0, then polished by
-    real Newton iteration.  A non-vanishing extrapolated imaginary part
-    (> 1e-7) means x sits inside the bulk and raises :class:`DomainError`.
-    """
-    x = float(x)
-    if x == 0.0:
-        raise DomainError("x = 0 is never outside the bulk closure")
-    _check_law(h1, "H1")
-    _check_law(h2, "H2")
-    if h1.is_point_mass_at(0.0) or h2.is_point_mass_at(0.0):
-        sol = solve_lsd(c, h1, h2, complex(x, 1e-8), tol=tol, max_iter=max_iter)
-        return _finish(c, h1, complex(x), sol.g1.real, sol.g2.real,
-                       iterations=0, residual=0.0, trivial=True)
-
-    total_iters = 0
-    init = None
-    g1s, g2s = [], []
-    for eps in _EPS_LADDER:
-        sol = solve_lsd(c, h1, h2, complex(x, eps), tol=tol, max_iter=max_iter, init=init)
-        init = (sol.g1, sol.g2)
-        total_iters += sol.iterations
-        g1s.append(sol.g1)
-        g2s.append(sol.g2)
-    ts = np.array(_EPS_LADDER)
-    g1_ext = _neville_at_zero(ts, g1s)
-    g2_ext = _neville_at_zero(ts, g2s)
-    if max(abs(g1_ext.imag), abs(g2_ext.imag)) > 1e-7:
-        raise DomainError(
-            f"x={x} lies inside the bulk support (extrapolated imaginary part "
-            f"{max(abs(g1_ext.imag), abs(g2_ext.imag)):.3e})")
-
-    g1, g2 = g1_ext.real, g2_ext.real
-    _, r1, r2, res = _state(c, h1, x, g1, g2, _int(h2, g1))
-    for _ in range(100):
-        if res < tol:
-            break
-        if np.any(np.abs(1.0 + g2 * h1.atoms) < 1e-12) or \
-           np.any(np.abs(1.0 + g1 * h2.atoms) < 1e-12):
-            raise PoleError(f"real-axis continuation hit a pole at x={x}")
-        n1, n2 = map(float, _newton_step(c, h1, h2, x, g1, g2, r1, r2))
-        _, n_r1, n_r2, new_res = _state(c, h1, x, n1, n2, _int(h2, n1))
-        if not np.isfinite(new_res) or new_res >= res:
-            break
-        g1, g2, r1, r2, res = n1, n2, n_r1, n_r2, new_res
-        total_iters += 1
-    if res > max(tol, 1e-10):
-        raise ConvergenceError(
-            f"real-axis polish stalled at x={x} (residual {res:.3e})",
-            residual=float(res), iterations=total_iters)
-    return _finish(c, h1, complex(x), complex(g1), complex(g2),
-                   iterations=total_iters, residual=res)
-
-
-def solve_lsd_point(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, z,
-                    tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> LsdSolution:
-    """Solve anywhere off the bulk: ``solve_lsd`` off the real axis and
-    ``solve_lsd_real`` on it.  An array z may mix the two."""
-    zs = np.asarray(z, dtype=np.complex128)
-    on_axis = zs.imag == 0
-    if not on_axis.any():
-        return solve_lsd(c, h1, h2, z, tol=tol, max_iter=max_iter)
-    if zs.ndim == 0:
-        return solve_lsd_real(c, h1, h2, zs.real, tol=tol, max_iter=max_iter)
-    off = solve_lsd(c, h1, h2, zs[~on_axis], tol=tol, max_iter=max_iter)
-    real = [solve_lsd_real(c, h1, h2, x, tol=tol, max_iter=max_iter) for x in zs.real[on_axis]]
-    fields = {}
-    for name in ("g1", "g2", "m", "m_under"):
-        v = np.empty(zs.shape, dtype=np.complex128)
-        v[~on_axis] = getattr(off, name)
-        v[on_axis] = [getattr(s, name) for s in real]
-        fields[name] = v
-    return LsdSolution(z=zs, **fields, trivial=off.trivial,
-                       iterations=off.iterations + sum(s.iterations for s in real),
-                       residual=max([off.residual] + [s.residual for s in real]))
 
 
 def derivatives(sol: LsdSolution, c: float, h1: DiscreteMeasure,
@@ -522,10 +419,12 @@ class _InverseMap:
     With g2 = s (g1 = s when ``swap`` exchanges the equations) the other
     coordinate is -K(s)/z, K(s) = int x/(1 + s x) dU, and z solves
     -s = int y/(z - K(s) y) dV; c rides on the weights of H1, atoms at zero
-    drop out.  With z = K y0 + w, y0 the largest positive atom of V if K > 0
-    and the smallest if K < 0, f(w) = int y/(w + K (y0 - y)) dV + s is
-    convex and falls from +inf to s < 0 on w > 0, so Newton's method
-    started where f > 0 climbs to the root without overshooting it.
+    drop out.  For s < 0 write z = K y0 + w, y0 the largest positive atom of
+    V if K > 0 and the smallest if K < 0: f(w) = int y/(w + K (y0 - y)) dV + s
+    is convex and falls from +inf to s on w > 0.  For s > 0 write z = -w:
+    f(w) = int y/(w + K y) dV - s is convex and falls to -s, from
+    V(0, inf)/K - s > 0 when U(0, inf) <= V(0, inf).  Either way Newton's
+    method started where f > 0 climbs to the root without overshooting it.
     """
 
     def __init__(self, c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, swap=False):
@@ -534,6 +433,7 @@ class _InverseMap:
         if not (h1.atoms[-1] > 0 and h2.atoms[-1] > 0):
             raise DomainError("degenerate inputs: bulk support has empty interior")
         (u, ku), (v, kv) = ((h2, 1.0), (h1, c)) if swap else ((h1, c), (h2, 1.0))
+        self.swap = swap
         self.ux, self.uw = u.atoms[u.atoms > 0], ku * u.weights[u.atoms > 0]
         self.vy, self.vw = v.atoms[v.atoms > 0], kv * v.weights[v.atoms > 0]
 
@@ -541,11 +441,16 @@ class _InverseMap:
         """(z, K, slope) at s; slope = 1 + K' int y^2/(z - K y)^2 dV has the sign of dz/ds."""
         d = 1.0 + s * self.ux
         k = float(np.sum(self.uw * self.ux / d))
-        i = -1 if k > 0 else 0
-        gap, num = k * (self.vy[i] - self.vy), self.vw * self.vy
-        w = max(num[i], num.sum() + s * gap.max()) / -s  # two lower bounds of the root
+        num = self.vw * self.vy
+        if s < 0:
+            i = -1 if k > 0 else 0
+            base, gap = k * self.vy[i], k * (self.vy[i] - self.vy)
+            w = max(num[i], num.sum() + s * gap.max()) / -s  # two lower bounds of the root
+        else:
+            gap = k * self.vy
+            w = max(0.0, num.sum() / s - gap.max())
         for _ in range(200):
-            step = (float(np.sum(num / (w + gap))) + s) / float(np.sum(num / (w + gap) ** 2))
+            step = (float(np.sum(num / (w + gap))) - abs(s)) / float(np.sum(num / (w + gap) ** 2))
             w += step
             if step <= _RTOL * w:
                 break
@@ -553,7 +458,7 @@ class _InverseMap:
             raise ConvergenceError(f"inverse map did not converge at s={s!r}")
         slope = 1.0 - float(np.sum(self.uw * (self.ux / d) ** 2)) \
             * float(np.sum(num * self.vy / (w + gap) ** 2))
-        return float(k * self.vy[i] + w), k, slope
+        return (float(base + w) if s < 0 else -w), k, slope
 
     def turning_point(self, upper: bool) -> float:
         """s where the slope changes sign on s = -1/r, for r from the pole
@@ -567,14 +472,82 @@ class _InverseMap:
 
         if not slope(near) < 0 < slope(far):
             raise ConvergenceError(f"no sign change of the inverse-map slope beyond r={pole!r}")
-        lo, hi = min(near, far), max(near, far)
-        while hi > lo * (1.0 + _RTOL):  # bisect in log r; slope(lo) < 0 iff upper
-            mid = float(np.sqrt(lo * hi))
-            lo, hi = (mid, hi) if (slope(mid) < 0) == upper else (lo, mid)
+        # slope(lo) < 0 iff upper
+        lo, hi = _bisect(lambda r: (slope(r) < 0) == upper, min(near, far), max(near, far))
         return -2.0 / (lo + hi)
+
+    def root(self, x: float, sign: int, lo: float, hi: float) -> float:
+        """s with z(s) = x on r = -1/s = sign t, t in (lo, hi), where z rises
+        with r: the end of the final bracket where z has reached x, so the
+        s of a point z(s) comes back exactly when the bisection meets it."""
+        def short(t):  # z has not reached x yet at t
+            return (self.point(-1.0 / (sign * t))[0] < x) == (sign > 0)
+
+        if not (short(lo) and not short(hi)):
+            raise ConvergenceError(f"x={x!r} lies beyond z(r) for |r| in ({lo!r}, {hi!r})")
+        return -1.0 / (sign * _bisect(short, lo, hi)[1])
 
 
 _RTOL, _ETA = 4.0 * float(np.finfo(float).eps), 2.0 ** -40
+
+
+def _bisect(below, lo: float, hi: float) -> tuple[float, float]:
+    """Bisect 0 < lo < hi in log t down to relative width _RTOL, keeping
+    ``below`` true at lo and false at hi."""
+    while hi > lo * (1.0 + _RTOL):
+        mid = float(np.sqrt(lo * hi))
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return lo, hi
+
+
+class _Branches:
+    """Where the Stieltjes solution lies on the real axis outside the bulk.
+
+    Above the upper edge it is the g2 map at r = -1/s in (r*, inf), r* the
+    turning point of the edge.  Below the lower edge it is the map that
+    holds the lower edge, g2 = s when c H1(0, inf) <= H2(0, inf) and g1 = s
+    otherwise, at r in (-inf, r_lo): z rises from -inf through z = 0 at
+    r = 0 (s = +-inf) to the lower edge at r_lo, so negative x and the gap
+    above a point mass at zero are on it.  When the two masses are equal
+    the lower edge is 0 and r_lo = 0.  Each side is found on first use.
+    """
+
+    def __init__(self, c: float, h1: DiscreteMeasure, h2: DiscreteMeasure):
+        self.args = c, h1, h2
+        self.by_g2 = _InverseMap(c, h1, h2)
+
+    @cached_property
+    def s_star(self) -> float:
+        return self.by_g2.turning_point(upper=True)
+
+    @cached_property
+    def upper(self) -> float:
+        return self.by_g2.point(self.s_star)[0]
+
+    @cached_property
+    def lower_side(self) -> tuple[_InverseMap, float, float]:
+        """(map, r_lo, lower edge)."""
+        a, b = float(self.by_g2.uw.sum()), float(self.by_g2.vw.sum())
+        lower_map = self.by_g2 if a <= b else _InverseMap(*self.args, swap=True)
+        if abs(a - b) <= 1e-12 * max(a, b):
+            return lower_map, 0.0, 0.0
+        s_lo = lower_map.turning_point(upper=False)
+        return lower_map, -1.0 / s_lo, lower_map.point(s_lo)[0]
+
+    def solve(self, x: float, where: str) -> tuple[float, float]:
+        """(g1, g2) at a real x != 0 outside [lower, upper]."""
+        if x > self.upper:
+            inv = self.by_g2
+            s = inv.root(x, 1, -1.0 / self.s_star, float(inv.ux[-1]) * 2.0 ** 64)
+        else:
+            inv, r_lo, lower = self.lower_side
+            if x >= lower:
+                raise DomainError(f"{where} lies inside the bulk hull [{lower!r}, {self.upper!r}]")
+            pole = float(inv.ux[0])
+            s = (inv.root(x, 1, pole * 2.0 ** -64, r_lo) if x > 0
+                 else inv.root(x, -1, pole * 2.0 ** -64, pole * 2.0 ** 64))
+        other = -inv.point(s)[1] / x
+        return (s, other) if inv.swap else (other, s)
 
 
 def solve_lsd_inverse(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
@@ -593,7 +566,7 @@ def solve_lsd_inverse(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
 def upper_edge_g2(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure) -> float:
     """g2 = s* at the upper bulk edge, where dz/ds changes sign on
     (-1/max H1, 0); the detectability threshold of a spike is -1/s*."""
-    return _InverseMap(c, h1, h2).turning_point(upper=True)
+    return _Branches(c, h1, h2).s_star
 
 
 def find_bulk_edges(c: float, h1: DiscreteMeasure,
@@ -607,11 +580,5 @@ def find_bulk_edges(c: float, h1: DiscreteMeasure,
     c H1(0, inf) > H2(0, inf) (the point mass at zero is not in the hull),
     and 0 when the two are equal.  Interior gaps are not reported.
     """
-    by_g2 = _InverseMap(c, h1, h2)
-    upper = by_g2.point(by_g2.turning_point(upper=True))[0]
-    a, b = float(by_g2.uw.sum()), float(by_g2.vw.sum())
-    if abs(a - b) <= 1e-12 * max(a, b):
-        return 0.0, upper
-    lower_map = by_g2 if a < b else _InverseMap(c, h1, h2, swap=True)
-    return lower_map.point(lower_map.turning_point(upper=False))[0], upper
-
+    branches = _Branches(c, h1, h2)
+    return branches.lower_side[2], branches.upper

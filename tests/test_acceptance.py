@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from elliprmt.experiments import ExperimentConfig, run_experiment
-from elliprmt.lsd import derivatives, solve_lsd, solve_lsd_real
+from elliprmt.lsd import derivatives, solve_lsd
 from elliprmt.measures import DiscreteMeasure
 from elliprmt.spikes import overlap_sq, sigma_delta_sq, transition
 

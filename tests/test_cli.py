@@ -35,6 +35,21 @@ def test_lsd_solve_mp(capsys):
     assert abs(complex(*data["m"]) - ref) < 1e-10
 
 
+def test_lsd_solve_real_axis(capsys):
+    # Marchenko-Pastur at c = 0.5: the spike alpha = 8 sits at 60/7, where
+    # m_under = -1/alpha; x = 1 is inside the bulk
+    code, out, _ = run_cli(capsys, "lsd", "solve", "--c", "0.5", "--h1", "delta:1",
+                           "--h2", "delta:1", "--z", f"{60 / 7!r},0")
+    assert code == 0
+    data = json.loads(out)
+    jsonschema.validate(data, _schema("lsd_solution.schema.json"))
+    assert abs(complex(*data["m_under"]) - (-0.125)) < 1e-12
+    code, _, err = run_cli(capsys, "lsd", "solve", "--c", "0.5", "--h1", "delta:1",
+                           "--h2", "delta:1", "--z", "1,0")
+    assert code == 1
+    assert "inside the bulk" in err
+
+
 def test_lsd_solve_trivial_branch(capsys):
     code, out, _ = run_cli(capsys, "lsd", "solve", "--c", "0.5", "--h1", "delta:0",
                            "--h2", "delta:1", "--z", "2,1")

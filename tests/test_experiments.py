@@ -55,6 +55,14 @@ def test_unknown_kind_and_rule():
         cfg.radius_law()
 
 
+def test_chi_square_nu_rule():
+    # chi-square forces nu_p = 2p: no rule means "2p", any other rule is refused
+    assert spike_cfg(radius={"kind": "chi-square"}).radius_law().nu_p == 80.0
+    for rule in ("0", "p", "p^2"):
+        with pytest.raises(ConfigError, match="chi-square radius forces nu_rule '2p'"):
+            spike_cfg(radius={"kind": "chi-square", "nu_rule": rule}).radius_law()
+
+
 def test_nu_rule_values():
     for rule, expect in (("0", 0.0), ("sqrt_p", np.sqrt(40)), ("p", 40.0),
                          ("p^2", 1600.0), ("2p", 80.0)):

@@ -11,7 +11,7 @@ from elliprmt.kernels import (ContourSpec, contour_moment, cov_m, cov_m_diagonal
                               eigvec_stat_cov, kernels, kernels_diagonal,
                               r_functionals)
 from elliprmt.kernels import _ROW_BLOCK, _pair_kernels, _solved
-from elliprmt.lsd import find_bulk_edges, solve_lsd, solve_lsd_point
+from elliprmt.lsd import find_bulk_edges, solve_lsd
 from elliprmt.measures import DiscreteMeasure, RadiusLaw, radius_law_to_h2
 from elliprmt.spikes import sigma_delta_sq
 
@@ -227,8 +227,8 @@ def test_contour_moment_exact_first_moment():
     pi = rng.standard_normal(p)
     pi /= np.linalg.norm(pi)
     for h2 in (D1, H2_HEAVY):
-        got = contour_moment(C, DiscreteMeasure.from_values(d), h2, sigma, pi,
-                             lambda z: z, quad_n=192)
+        [got] = contour_moment(C, DiscreteMeasure.from_values(d), h2, sigma, pi,
+                               [lambda z: z], quad_n=192)
         mu_h2 = float(np.dot(h2.weights, h2.atoms))
         exact = mu_h2 * float(pi @ sigma @ pi)
         assert abs(got - exact) < 2e-4
@@ -237,15 +237,20 @@ def test_contour_moment_exact_first_moment():
 def test_contour_moment_constant_is_exact():
     pi = np.zeros(5)
     pi[0] = 1
-    got = contour_moment(C, D1, D1, np.eye(5), pi, lambda z: 3.0 + 0 * z, quad_n=32)
+    [got] = contour_moment(C, D1, D1, np.eye(5), pi, [lambda z: 3.0 + 0 * z], quad_n=32)
     assert got == pytest.approx(3.0, abs=1e-12)
 
 
 def test_contour_moment_mp_second_moment():
     pi = np.zeros(5)
     pi[0] = 1
-    got = contour_moment(C, D1, D1, np.eye(5), pi, lambda z: z * z, quad_n=256)
-    assert abs(got - 1.5) < 1e-4  # E x^2 = 1 + c for the isotropic law
+    zetas = [lambda z: z, lambda z: z * z]
+    got = contour_moment(C, D1, D1, np.eye(5), pi, zetas, quad_n=256)
+    assert abs(got[0] - 1.0) < 1e-4
+    assert abs(got[1] - 1.5) < 1e-4  # E x^2 = 1 + c for the isotropic law
+    # one solve for both gives each the value of its own call, bit for bit
+    for f, v in zip(zetas, got):
+        assert contour_moment(C, D1, D1, np.eye(5), pi, [f], quad_n=256)[0] == v
 
 
 def test_eigvec_stat_cov_matches_exact_limits():
@@ -314,7 +319,7 @@ def test_eigvec_stat_cov_grid_matches_scalar_kernels(h2):
     outer = default_contour(C, h1, h2)
     nodes1, w1 = _trapezoid(outer.inner(), quad_n)
     nodes2, w2 = _trapezoid(outer, quad_n)
-    g2 = {z: solve_lsd_point(C, h1, h2, z).g2 for z in nodes1 + nodes2}
+    g2 = {z: solve_lsd(C, h1, h2, z).g2 for z in nodes1 + nodes2}
     total = 0j
     for z1, a in zip(nodes1, w1):
         for z2, b in zip(nodes2, w2):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliprmt.errors import ConfigError, DomainError, SubcriticalSpikeError
-from elliprmt.lsd import find_bulk_edges, solve_lsd_real, upper_edge_g2
+from elliprmt.lsd import find_bulk_edges, solve_lsd, upper_edge_g2
 from elliprmt.measures import DiscreteMeasure, RadiusLaw, radius_law_to_h2
 from elliprmt.spikes import (goe_covariance_profile, overlap_sq, predict_spike,
                              sigma_delta_sq, transition)
@@ -31,7 +31,7 @@ def test_light_tail_location_is_closed_form():
 
 def test_location_solves_defining_equation_heavy_tail():
     theta, _ = transition(C, D1, H2_HEAVY, 8.0)
-    g2 = solve_lsd_real(C, D1, H2_HEAVY, theta).g2.real
+    g2 = solve_lsd(C, D1, H2_HEAVY, theta).g2.real
     assert abs(g2 + 1.0 / 8.0) < 1e-10
 
 
@@ -67,7 +67,7 @@ def test_variance_second_term_vanishes_light_tail():
     # the full formula must agree with its light-tail reduction 2/(mu' t^2)
     theta, _ = transition(C, D1, D1, 8.0)
     from elliprmt.lsd import derivatives
-    sol = solve_lsd_real(C, D1, D1, theta)
+    sol = solve_lsd(C, D1, D1, theta)
     der = derivatives(sol, C, D1, D1)
     reduction = 2.0 / (der.m_under_p.real * theta ** 2)
     assert abs(sigma_delta_sq(C, D1, D1, 8.0) - reduction) < 1e-8
@@ -158,7 +158,7 @@ def test_spike_variance_consistency_with_goe_profile():
     theta, gprime = transition(C, D1, H2_HEAVY, alpha)
     prof = goe_covariance_profile(C, D1, H2_HEAVY, theta, k=1)
     from elliprmt.lsd import derivatives
-    sol = solve_lsd_real(C, D1, H2_HEAVY, theta)
+    sol = solve_lsd(C, D1, H2_HEAVY, theta)
     g2p = derivatives(sol, C, D1, H2_HEAVY).g2p.real
     expect = prof.sigma11_sq / (C * theta ** 4 * g2p ** 2)
     assert abs(sigma_delta_sq(C, D1, H2_HEAVY, alpha) - expect) < 1e-8
@@ -207,7 +207,7 @@ def test_inverse_map_properties(c, h1, h2, lift):
     alpha = threshold * (1.0 + lift)
     theta, gp = transition(c, h1, h2, alpha)
     assert upper <= theta
-    g2 = solve_lsd_real(c, h1, h2, theta).g2.real
+    g2 = solve_lsd(c, h1, h2, theta).g2.real
     assert abs(g2 * alpha + 1.0) < 1e-10
     h = 1e-5 * alpha
     central = (transition(c, h1, h2, alpha + h)[0]
