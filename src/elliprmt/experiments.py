@@ -141,10 +141,14 @@ class ExperimentConfig:
             "draws_per_rep": self.draws_per_rep,
         }
 
+    @property
+    def nu_rule(self) -> str:
+        """The radius's nu_rule: "2p" for a chi-square radius that gives none, else "0"."""
+        return self.radius.get("nu_rule", "2p" if self.radius.get("kind") == "chi-square" else "0")
+
     def radius_law(self, p: int | None = None) -> RadiusLaw:
         p = self.p if p is None else p
-        kind = self.radius.get("kind", "two-point")
-        rule = self.radius.get("nu_rule", "2p" if kind == "chi-square" else "0")
+        kind, rule = self.radius.get("kind", "two-point"), self.nu_rule
         if kind == "chi-square" and rule != "2p":
             raise ConfigError(f"a chi-square radius forces nu_rule '2p', not {rule!r}")
         nu = _nu_value(rule, p)
@@ -411,7 +415,7 @@ def _result(cfg: ExperimentConfig, columns, records: np.ndarray, failures: int,
     res.summary = {
         "kind": cfg.kind,
         "p": cfg.p, "n": cfg.n, "reps": cfg.reps, "seed": cfg.seed,
-        "nu_rule": cfg.radius.get("nu_rule", "0"),
+        "nu_rule": cfg.nu_rule,
         "radius_kind": law.kind,
         "radius_conforming": law.bounded_support,
         "failures": failures,

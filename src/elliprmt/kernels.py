@@ -93,6 +93,11 @@ def _solved(c, h1, h2, z):
     return sol.z, sol.g1, sol.g2, sol.m_under, derivatives(sol, c, h1, h2).g2p
 
 
+def _solved_pair(c, h1, h2, z1, z2):
+    """:func:`_solved` at z1 and z2 from one solve: real points share one branch geometry."""
+    return list(zip(*(map(complex, v) for v in _solved(c, h1, h2, np.array([z1, z2])))))
+
+
 def _pair_kernels(c, a, b):
     """(h1, h2, d) at distinct points a and b, each (z, g1, g2, m_under, g2').
 
@@ -130,8 +135,7 @@ def _at_point(c, h1, h2, z):
 def kernels(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
             z1: complex, z2: complex) -> KernelValues:
     """Evaluate (h1, h2, d, w) at an ordered pair of distinct points."""
-    a = _solved(c, h1, h2, z1)
-    b = _solved(c, h1, h2, z2)
+    a, b = _solved_pair(c, h1, h2, z1, z2)
     dg2 = a[2] - b[2]
     if abs(a[1] - b[1]) < _COINCIDENT_TOL or abs(dg2) < _COINCIDENT_TOL:
         raise DomainError(
@@ -221,8 +225,7 @@ def cov_m(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
     """
     if len(pis) != 4:
         raise ConfigError("cov_m needs exactly four projection vectors")
-    a = _solved(c, h1, h2, z1)
-    b = _solved(c, h1, h2, z2)
+    a, b = _solved_pair(c, h1, h2, z1, z2)
     k1, k2, _ = _pair_kernels(c, a, b)
     return _cov_from_kernels(k1, k2, sigma, pis, a[2], b[2])
 

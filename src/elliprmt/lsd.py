@@ -25,8 +25,8 @@ A(s) = int x/(1 + s x) dH1, and z is the one root of
 -s = int y/(z - c A(s) y) dH2 above c A(s) max H2.  Spike locations are
 z(-1/alpha) (``solve_lsd_inverse``); bulk edges are the turning points of
 z(s), and the detectability threshold is -1/s* at the upper one.  A real
-node x of ``solve_lsd`` is the root of z(s) = x, by bisection, on the
-branch of the map that holds it.
+node x of ``solve_lsd`` is the root of z(s) = x, by safeguarded Newton, on
+the branch of the map that holds it.
 """
 
 from __future__ import annotations
@@ -237,9 +237,10 @@ def solve_lsd(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, z,
     iterations; a node with Im z < 0 is solved at its conjugate and
     conjugated back, and one that converges outside the uniqueness set
     raises.  A real node x is the exact root of the inverse map on the
-    branch that holds it (:class:`_Branches`, no iterations); x inside the
-    hull [lower, upper] of the bulk raises :class:`DomainError`.  A
-    :class:`ConvergenceError` names the first node that failed in its
+    branch that holds it (:class:`_Branches`, no iterations), and raises
+    :class:`ConvergenceError` if its residual exceeds max(tol, 1e-10); x
+    inside the hull [lower, upper] of the bulk raises :class:`DomainError`.
+    A :class:`ConvergenceError` names the first node that failed in its
     message and ``index``.  The degenerate inputs H1 = delta_0 or
     H2 = delta_0 short-circuit to the point-mass law with m = -1/z.
     """
@@ -268,29 +269,28 @@ def solve_lsd(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, z,
             g1, g2 = -c * _int(h1, 0.0) / zu, -_int(h2, 0.0) / zu
         else:
             g1, g2 = np.empty_like(zu), np.empty_like(zu)
-            on = np.flatnonzero(zu.imag == 0)
+            on, off = np.flatnonzero(zu.imag == 0), np.flatnonzero(zu.imag != 0)
             if on.size:
                 branches = _Branches(c, h1, h2)
                 for k in on:
                     g1[k], g2[k] = branches.solve(zu[k].real, _node(z, scalar, k))
                 res[on] = _residual(c, h1, h2, zu[on], g1[on], g2[on])
-            off = np.flatnonzero(zu.imag != 0)
             if off.size:
                 g1[off], g2[off], res[off], its[off] = _iterate(c, h1, h2, zu[off], tol, max_iter)
-                i = _first(its < 0)
-                if i is not None:
-                    raise ConvergenceError(
-                        f"fixed-point iteration did not reach tol={tol} at {_node(z, scalar, i)} "
-                        f"(last residual {res[i]:.3e})", residual=float(res[i]),
-                        iterations=max_iter, index=i)
-                m = -_mean_inv(h1, g2) / zu  # real nodes pass the test of U
-                i = _first(~_in_uniqueness_set(zu, g1, g2, m))
-                if i is not None:
-                    raise ConvergenceError(
-                        "converged to a point outside the uniqueness set at "
-                        f"{_node(z, scalar, i)} (m={complex(flip(m)[i])!r}, "
-                        f"g2={complex(flip(g2)[i])!r})",
-                        residual=float(res[i]), iterations=int(its[i]), index=i)
+            # a complex node out of iterations, or a real one off by more than roundoff
+            i = _first((its < 0) | (res > max(tol, 1e-10)))
+            if i is not None:
+                raise ConvergenceError(
+                    f"no solution to tol={tol} at {_node(z, scalar, i)} (residual {res[i]:.3e})",
+                    residual=float(res[i]), iterations=max_iter if its[i] < 0 else 0, index=i)
+            m = -_mean_inv(h1, g2) / zu  # real nodes pass the test of U
+            i = _first(~_in_uniqueness_set(zu, g1, g2, m))
+            if i is not None:
+                raise ConvergenceError(
+                    "converged to a point outside the uniqueness set at "
+                    f"{_node(z, scalar, i)} (m={complex(flip(m)[i])!r}, "
+                    f"g2={complex(flip(g2)[i])!r})",
+                    residual=float(res[i]), iterations=int(its[i]), index=i)
         # conjugation commutes with every operation of _finish, so it works at z itself
         z, g1, g2 = (complex(v[0]) if scalar else v.reshape(shape) for v in (z, flip(g1), flip(g2)))
         return _finish(c, h1, z, g1, g2, its.sum(), res.max(initial=0.0), trivial)
@@ -437,8 +437,9 @@ class _InverseMap:
         self.ux, self.uw = u.atoms[u.atoms > 0], ku * u.weights[u.atoms > 0]
         self.vy, self.vw = v.atoms[v.atoms > 0], kv * v.weights[v.atoms > 0]
 
-    def point(self, s: float) -> tuple[float, float, float]:
-        """(z, K, slope) at s; slope = 1 + K' int y^2/(z - K y)^2 dV has the sign of dz/ds."""
+    def point(self, s: float) -> tuple[float, float, float, float]:
+        """(z, K, slope, dz/ds) at s; slope = 1 + K' int y^2/(z - K y)^2 dV
+        is dz/ds times int y/(z - K y)^2 dV > 0, so it has the sign of dz/ds."""
         d = 1.0 + s * self.ux
         k = float(np.sum(self.uw * self.ux / d))
         num = self.vw * self.vy
@@ -456,9 +457,9 @@ class _InverseMap:
                 break
         else:
             raise ConvergenceError(f"inverse map did not converge at s={s!r}")
-        slope = 1.0 - float(np.sum(self.uw * (self.ux / d) ** 2)) \
-            * float(np.sum(num * self.vy / (w + gap) ** 2))
-        return (float(base + w) if s < 0 else -w), k, slope
+        q = (w + gap) ** 2  # (z - K y)^2
+        slope = 1.0 - float(np.sum(self.uw * (self.ux / d) ** 2)) * float(np.sum(num * self.vy / q))
+        return (float(base + w) if s < 0 else -w), k, slope, slope / np.sum(num / q)
 
     def turning_point(self, upper: bool) -> float:
         """s where the slope changes sign on s = -1/r, for r from the pole
@@ -472,80 +473,79 @@ class _InverseMap:
 
         if not slope(near) < 0 < slope(far):
             raise ConvergenceError(f"no sign change of the inverse-map slope beyond r={pole!r}")
-        # slope(lo) < 0 iff upper
-        lo, hi = _bisect(lambda r: (slope(r) < 0) == upper, min(near, far), max(near, far))
+        lo, hi = min(near, far), max(near, far)
+        while hi > lo * (1.0 + _RTOL):  # bisection in log r; slope(lo) < 0 iff upper
+            mid = float(np.sqrt(lo * hi))
+            lo, hi = (mid, hi) if (slope(mid) < 0) == upper else (lo, mid)
         return -2.0 / (lo + hi)
 
     def root(self, x: float, sign: int, lo: float, hi: float) -> float:
         """s with z(s) = x on r = -1/s = sign t, t in (lo, hi), where z rises
-        with r: the end of the final bracket where z has reached x, so the
-        s of a point z(s) comes back exactly when the bisection meets it."""
-        def short(t):  # z has not reached x yet at t
-            return (self.point(-1.0 / (sign * t))[0] < x) == (sign > 0)
-
-        if not (short(lo) and not short(hi)):
-            raise ConvergenceError(f"x={x!r} lies beyond z(r) for |r| in ({lo!r}, {hi!r})")
-        return -1.0 / (sign * _bisect(short, lo, hi)[1])
+        with r: Newton's method in t from the middle of the bracket, which
+        every step narrows, with a bisection step in log t wherever Newton
+        would leave it.  The caller checks the residual."""
+        t = float(np.sqrt(lo * hi))
+        for _ in range(200):
+            z, _, _, dzds = self.point(-1.0 / (sign * t))
+            if z == x:
+                return -1.0 / (sign * t)
+            lo, hi = (t, hi) if (z < x) == (sign > 0) else (lo, t)
+            new = t - (z - x) * sign * t * t / dzds  # dz/dt = sign dz/ds / t^2
+            if not lo < new < hi:
+                new = float(np.sqrt(lo * hi))
+            if abs(new - t) <= _RTOL * t:
+                return -1.0 / (sign * new)
+            t = new
+        raise ConvergenceError(f"inverse-map root for x={x!r} did not converge")
 
 
 _RTOL, _ETA = 4.0 * float(np.finfo(float).eps), 2.0 ** -40
 
 
-def _bisect(below, lo: float, hi: float) -> tuple[float, float]:
-    """Bisect 0 < lo < hi in log t down to relative width _RTOL, keeping
-    ``below`` true at lo and false at hi."""
-    while hi > lo * (1.0 + _RTOL):
-        mid = float(np.sqrt(lo * hi))
-        lo, hi = (mid, hi) if below(mid) else (lo, mid)
-    return lo, hi
-
-
 class _Branches:
-    """Where the Stieltjes solution lies on the real axis outside the bulk.
-
-    Above the upper edge it is the g2 map at r = -1/s in (r*, inf), r* the
-    turning point of the edge.  Below the lower edge it is the map that
-    holds the lower edge, g2 = s when c H1(0, inf) <= H2(0, inf) and g1 = s
-    otherwise, at r in (-inf, r_lo): z rises from -inf through z = 0 at
-    r = 0 (s = +-inf) to the lower edge at r_lo, so negative x and the gap
-    above a point mass at zero are on it.  When the two masses are equal
-    the lower edge is 0 and r_lo = 0.  Each side is found on first use.
+    """Where the Stieltjes solution lies on the real axis outside the bulk:
+    above the upper edge on the g2 map at r = -1/s in (r*, inf), r* = -1/s*;
+    below the lower edge on ``lower_map`` (g2 = s when c H1(0, inf) <=
+    H2(0, inf), else g1 = s) at r in (-inf, r_lo), where z rises from -inf
+    through z = 0 at r = 0 to the lower edge, so negative x and the gap above
+    a point mass at zero are on it.  Each edge is found on first use.
     """
 
     def __init__(self, c: float, h1: DiscreteMeasure, h2: DiscreteMeasure):
-        self.args = c, h1, h2
         self.by_g2 = _InverseMap(c, h1, h2)
-
-    @cached_property
-    def s_star(self) -> float:
-        return self.by_g2.turning_point(upper=True)
-
-    @cached_property
-    def upper(self) -> float:
-        return self.by_g2.point(self.s_star)[0]
-
-    @cached_property
-    def lower_side(self) -> tuple[_InverseMap, float, float]:
-        """(map, r_lo, lower edge)."""
         a, b = float(self.by_g2.uw.sum()), float(self.by_g2.vw.sum())
-        lower_map = self.by_g2 if a <= b else _InverseMap(*self.args, swap=True)
-        if abs(a - b) <= 1e-12 * max(a, b):
-            return lower_map, 0.0, 0.0
-        s_lo = lower_map.turning_point(upper=False)
-        return lower_map, -1.0 / s_lo, lower_map.point(s_lo)[0]
+        self.lower_map = self.by_g2 if a <= b else _InverseMap(c, h1, h2, swap=True)
+        self.flat = abs(a - b) <= 1e-12 * max(a, b)  # the lower edge is 0
+
+    @cached_property
+    def upper_edge(self) -> tuple[float, float]:
+        """(s*, upper edge)."""
+        s_star = self.by_g2.turning_point(upper=True)
+        return s_star, self.by_g2.point(s_star)[0]
+
+    @cached_property
+    def lower_edge(self) -> tuple[float, float]:
+        """(r_lo, lower edge)."""
+        if self.flat:
+            return 0.0, 0.0
+        s_lo = self.lower_map.turning_point(upper=False)
+        return -1.0 / s_lo, self.lower_map.point(s_lo)[0]
 
     def solve(self, x: float, where: str) -> tuple[float, float]:
-        """(g1, g2) at a real x != 0 outside [lower, upper]."""
-        if x > self.upper:
+        """(g1, g2) at a real x != 0 outside [lower, upper]; x < 0 needs no edge."""
+        inv = self.lower_map
+        pole = float(inv.ux[0])
+        if x < 0:
+            s = inv.root(x, -1, pole * 2.0 ** -64, pole * 2.0 ** 64)
+        elif x > self.upper_edge[1]:
             inv = self.by_g2
-            s = inv.root(x, 1, -1.0 / self.s_star, float(inv.ux[-1]) * 2.0 ** 64)
+            s = inv.root(x, 1, -1.0 / self.upper_edge[0], float(inv.ux[-1]) * 2.0 ** 64)
         else:
-            inv, r_lo, lower = self.lower_side
+            r_lo, lower = self.lower_edge
             if x >= lower:
-                raise DomainError(f"{where} lies inside the bulk hull [{lower!r}, {self.upper!r}]")
-            pole = float(inv.ux[0])
-            s = (inv.root(x, 1, pole * 2.0 ** -64, r_lo) if x > 0
-                 else inv.root(x, -1, pole * 2.0 ** -64, pole * 2.0 ** 64))
+                raise DomainError(
+                    f"{where} lies inside the bulk hull [{lower!r}, {self.upper_edge[1]!r}]")
+            s = inv.root(x, 1, pole * 2.0 ** -64, r_lo)
         other = -inv.point(s)[1] / x
         return (s, other) if inv.swap else (other, s)
 
@@ -558,7 +558,7 @@ def solve_lsd_inverse(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
     on the Stieltjes branch only for s above ``upper_edge_g2``."""
     if not -1.0 / float(h1.atoms[-1]) < g2 < 0.0:
         raise DomainError(f"g2={g2!r} outside (-1/max H1, 0)")
-    z, k, _ = _InverseMap(c, h1, h2).point(g2)
+    z, k = _InverseMap(c, h1, h2).point(g2)[:2]
     return _finish(c, h1, complex(z), complex(-k / z), complex(g2), iterations=0,
                    residual=_residual(c, h1, h2, z, -k / z, g2))
 
@@ -566,7 +566,7 @@ def solve_lsd_inverse(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
 def upper_edge_g2(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure) -> float:
     """g2 = s* at the upper bulk edge, where dz/ds changes sign on
     (-1/max H1, 0); the detectability threshold of a spike is -1/s*."""
-    return _Branches(c, h1, h2).s_star
+    return _Branches(c, h1, h2).upper_edge[0]
 
 
 def find_bulk_edges(c: float, h1: DiscreteMeasure,
@@ -581,4 +581,4 @@ def find_bulk_edges(c: float, h1: DiscreteMeasure,
     and 0 when the two are equal.  Interior gaps are not reported.
     """
     branches = _Branches(c, h1, h2)
-    return branches.lower_side[2], branches.upper
+    return branches.lower_edge[1], branches.upper_edge[1]

@@ -58,6 +58,9 @@ def test_unknown_kind_and_rule():
 def test_chi_square_nu_rule():
     # chi-square forces nu_p = 2p: no rule means "2p", any other rule is refused
     assert spike_cfg(radius={"kind": "chi-square"}).radius_law().nu_p == 80.0
+    # and the summary reports the rule the law was built with
+    res = run_experiment(spike_cfg(radius={"kind": "chi-square"}, reps=3))
+    assert (res.summary["nu_rule"], res.summary["radius_kind"]) == ("2p", "chi-square")
     for rule in ("0", "p", "p^2"):
         with pytest.raises(ConfigError, match="chi-square radius forces nu_rule '2p'"):
             spike_cfg(radius={"kind": "chi-square", "nu_rule": rule}).radius_law()

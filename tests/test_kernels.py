@@ -68,6 +68,22 @@ def test_w_combination():
     assert abs(kv.w - z1 * z2 * (s1.g2 - s2.g2)) < 1e-12
 
 
+def test_real_pair_shares_one_branch_geometry(monkeypatch):
+    # two real points above the bulk come from one solve, so the upper
+    # turning point is found once, and agree with one-point solves
+    from elliprmt import lsd
+
+    built = []
+    monkeypatch.setattr(lsd, "_Branches", lambda *a, cls=lsd._Branches: built.append(1) or cls(*a))
+    z1, z2 = 6.0, 9.0
+    kv = kernels(C, D1, H2_HEAVY, z1, z2)
+    assert len(built) == 1
+    s1 = solve_lsd(C, D1, H2_HEAVY, z1)
+    s2 = solve_lsd(C, D1, H2_HEAVY, z2)
+    assert abs(kv.w - z1 * z2 * (s1.g2 - s2.g2)) < 1e-12
+    assert abs(kv.w.imag) == 0 and np.isfinite(kv.h1) and np.isfinite(kv.h2)
+
+
 def test_light_tail_h2_substitution():
     # with m_under = g2 the h2 kernel equals the same expression with the
     # companion values replaced by g2 values (both are ~0 here)
