@@ -437,9 +437,8 @@ class _InverseMap:
         self.ux, self.uw = u.atoms[u.atoms > 0], ku * u.weights[u.atoms > 0]
         self.vy, self.vw = v.atoms[v.atoms > 0], kv * v.weights[v.atoms > 0]
 
-    def point(self, s: float) -> tuple[float, float, float, float]:
-        """(z, K, slope, dz/ds) at s; slope = 1 + K' int y^2/(z - K y)^2 dV
-        is dz/ds times int y/(z - K y)^2 dV > 0, so it has the sign of dz/ds."""
+    def point(self, s: float) -> tuple[float, float, float]:
+        """(z, K, slope) at s; slope = 1 + K' int y^2/(z - K y)^2 dV has the sign of dz/ds."""
         d = 1.0 + s * self.ux
         k = float(np.sum(self.uw * self.ux / d))
         num = self.vw * self.vy
@@ -457,9 +456,9 @@ class _InverseMap:
                 break
         else:
             raise ConvergenceError(f"inverse map did not converge at s={s!r}")
-        q = (w + gap) ** 2  # (z - K y)^2
-        slope = 1.0 - float(np.sum(self.uw * (self.ux / d) ** 2)) * float(np.sum(num * self.vy / q))
-        return (float(base + w) if s < 0 else -w), k, slope, slope / np.sum(num / q)
+        slope = 1.0 - float(np.sum(self.uw * (self.ux / d) ** 2)) \
+            * float(np.sum(num * self.vy / (w + gap) ** 2))
+        return (float(base + w) if s < 0 else -w), k, slope
 
     def turning_point(self, upper: bool) -> float:
         """s where the slope changes sign on s = -1/r, for r from the pole
@@ -486,11 +485,13 @@ class _InverseMap:
         would leave it.  The caller checks the residual."""
         t = float(np.sqrt(lo * hi))
         for _ in range(200):
-            z, _, _, dzds = self.point(-1.0 / (sign * t))
+            z, k, slope = self.point(-1.0 / (sign * t))
             if z == x:
                 return -1.0 / (sign * t)
             lo, hi = (t, hi) if (z < x) == (sign > 0) else (lo, t)
-            new = t - (z - x) * sign * t * t / dzds  # dz/dt = sign dz/ds / t^2
+            # dz/ds = slope / int y/(z - K y)^2 dV, and dz/dt = sign dz/ds / t^2
+            dzds = slope / np.sum(self.vw * self.vy / (z - k * self.vy) ** 2)
+            new = t - (z - x) * sign * t * t / dzds
             if not lo < new < hi:
                 new = float(np.sqrt(lo * hi))
             if abs(new - t) <= _RTOL * t:
@@ -558,7 +559,7 @@ def solve_lsd_inverse(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
     on the Stieltjes branch only for s above ``upper_edge_g2``."""
     if not -1.0 / float(h1.atoms[-1]) < g2 < 0.0:
         raise DomainError(f"g2={g2!r} outside (-1/max H1, 0)")
-    z, k = _InverseMap(c, h1, h2).point(g2)[:2]
+    z, k, _ = _InverseMap(c, h1, h2).point(g2)
     return _finish(c, h1, complex(z), complex(-k / z), complex(g2), iterations=0,
                    residual=_residual(c, h1, h2, z, -k / z, g2))
 
