@@ -8,21 +8,19 @@ Monte Carlo harness that validates each prediction.
 
 from .errors import (ConfigError, ConvergenceError, DomainError, ElliprmtError,
                      PoleError, SubcriticalSpikeError)
-from .measures import DiscreteMeasure, RadiusLaw, measure_integral, radius_law_to_h2
+from .measures import DiscreteMeasure, RadiusLaw, radius_law_to_h2
 from .sampler import (EllipticalSample, PopulationSpec, build_population,
                       draw_sample, nonspiked_spectrum_measure,
                       quadform_moment_oracle, replicate_seed)
-from .covariance import (ScmBundle, Vesd, bilinear_resolvent, build_scm,
-                         spike_determinant_residual, spiked_quadform, vesd)
+from .covariance import ScmBundle, bilinear_resolvent, build_scm, spiked_quadform
 from .lsd import (InvertedLaw, LsdDerivatives, LsdSolution, derivatives,
                   find_bulk_edges, outer_support_bracket, solve_lsd,
                   stieltjes_invert)
-from .kernels import (ContourSpec, KernelValues, RFunctionals, contour_moment,
-                      cov_m, cov_m_diagonal, default_contour,
-                      deterministic_equivalent, eigvec_stat_cov, kernels,
-                      kernels_diagonal, r_functionals)
+from .kernels import (ContourSpec, KernelValues, contour_moment, cov_m,
+                      cov_m_diagonal, default_contour, deterministic_equivalent,
+                      eigvec_stat_cov, kernels, kernels_diagonal, r_functional)
 from .spikes import (GoeCovarianceProfile, SpikePrediction, goe_covariance_profile,
-                     overlap_sq, predict_spike, sigma_delta_sq, transition)
+                     predict_spike)
 from .experiments import (EXPERIMENT_KINDS, ExperimentConfig, ExperimentResult,
                           run_experiment)
 

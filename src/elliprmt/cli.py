@@ -43,10 +43,7 @@ def _parse_measure(text: str) -> DiscreteMeasure:
         except ValueError as exc:
             raise ConfigError(f"bad point mass spec {text!r}: {exc}") from exc
     if text.startswith("file:"):
-        path = text[5:]
-        if not os.path.exists(path):
-            raise ConfigError(f"measure file not found: {path}")
-        return DiscreteMeasure.from_csv(path)
+        return DiscreteMeasure.from_csv(text[5:])
     raise ConfigError(f"measure spec {text!r} must be 'delta:<x>' or 'file:<path>'")
 
 
@@ -111,7 +108,11 @@ def _cmd_mc(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     elif "seed" not in raw and os.environ.get("ELLIPRMT_SEED"):
-        raw["seed"] = int(os.environ["ELLIPRMT_SEED"])
+        env_seed = os.environ["ELLIPRMT_SEED"]
+        try:
+            raw["seed"] = int(env_seed)
+        except ValueError as exc:
+            raise ConfigError(f"ELLIPRMT_SEED must be an integer, got {env_seed!r}") from exc
     cfg = ExperimentConfig.from_dict(raw)
     result = run_experiment(cfg, jobs=args.jobs)
     outdir = args.out or f"{cfg.kind}-{cfg.seed}"

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the unit-vector
+check that every projection vector pi passes.
 
 The CLI maps these onto exit codes: configuration / usage problems exit 1,
 numerical non-convergence exits 2, a spike below its detectability
@@ -6,6 +7,17 @@ threshold exits 3.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+__all__ = [
+    "ElliprmtError",
+    "ConfigError",
+    "DomainError",
+    "PoleError",
+    "ConvergenceError",
+    "SubcriticalSpikeError",
+]
 
 
 class ElliprmtError(Exception):
@@ -42,3 +54,12 @@ class SubcriticalSpikeError(ElliprmtError):
     def __init__(self, message: str, threshold: float):
         super().__init__(message)
         self.threshold = threshold
+
+
+def _unit_vector(v, name: str = "pi") -> np.ndarray:
+    """v as a flat float64 array; :class:`DomainError` unless its norm is 1
+    within 1e-10."""
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        raise DomainError(f"{name} must have unit norm")
+    return v

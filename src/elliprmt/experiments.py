@@ -39,7 +39,7 @@ from .measures import DiscreteMeasure, RadiusLaw, radius_law_to_h2
 from .sampler import (PopulationSpec, build_population, draw_sample,
                       nonspiked_spectrum_measure, quadform_moment_oracle,
                       replicate_seed)
-from .spikes import goe_covariance_profile, overlap_sq, predict_spike, transition
+from .spikes import goe_covariance_profile, predict_spike
 
 __all__ = [
     "ExperimentConfig",
@@ -516,7 +516,8 @@ def run_eigvec_overlap(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult
         n = int(round(p / c))
         spec, pop, law, h2, gamma = _population(cfg, p)
         h1n = nonspiked_spectrum_measure(spec)
-        theory_overlaps = [overlap_sq(c, h1n, h2, alpha) for alpha in spec.spikes]
+        theory_overlaps = [predict_spike(c, h1n, h2, alpha).overlap_sq
+                           for alpha in spec.spikes]
         u1 = pop[1][:, :k_spikes]
 
         def statistic(sample, gamma=gamma, u1=u1, p=p):
@@ -664,7 +665,7 @@ def run_goe_entries(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     spec, pop, law, h2, _ = _population(cfg)
     h1n = nonspiked_spectrum_measure(spec)
     z = (float(cfg.z_real) if cfg.z_real is not None
-         else transition(cfg.c, h1n, h2, spec.spikes[0])[0])
+         else predict_spike(cfg.c, h1n, h2, spec.spikes[0]).theta)
     g2n = solve_lsd(cfg.c, h1n, h2, z).g2.real
     profile = goe_covariance_profile(cfg.c, h1n, h2, z, k)
     sqrt_p = np.sqrt(cfg.p)
@@ -714,7 +715,7 @@ def run_vesd(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     sig_eig = (pop[2], pop[1])
     # The outer bracket of the finite-p law, spike atoms included, holds the
     # images of the spikes as well as the bulk; locating the spikes with
-    # transition needs the law without them and would clip the spike's
+    # predict_spike needs the law without them and would clip the spike's
     # finite-p component.
     contour = default_contour(cfg.c, h1n, h2)
     zetas = {"x": lambda zz: zz, "x2": lambda zz: zz * zz}

@@ -27,16 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, PoleError
+from .errors import ConfigError, DomainError, PoleError, _unit_vector
 from .lsd import derivatives, outer_support_bracket, solve_lsd
 from .measures import DiscreteMeasure
 
 __all__ = [
     "KernelValues",
-    "RFunctionals",
     "kernels",
     "kernels_diagonal",
-    "r_functionals",
+    "r_functional",
     "deterministic_equivalent",
     "cov_m",
     "cov_m_diagonal",
@@ -60,19 +59,6 @@ class KernelValues:
     h2: complex
     d: complex
     w: complex  # z1 z2 (g2(z1) - g2(z2)), the recurring combination
-
-
-@dataclass(frozen=True)
-class RFunctionals:
-    """Population-side functionals of one vector pair.
-
-    ``r_two_point`` uses (I+g2(z1)S)^{-1} S (I+g2(z2)S)^{-1}; ``r_one_point``
-    uses (I+g2(z)S)^{-2} S.  The two coincide when z1 = z2 but are kept
-    separate because the one-argument form enters the h2 term on its own.
-    """
-
-    r_two_point: complex
-    r_one_point: complex
 
 
 def _sigma_eig(sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -159,36 +145,28 @@ def kernels_diagonal(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
     return complex(z4 * (2.0 * k1 + k2)), complex(z4 * k1)
 
 
-def r_functionals(sigma, g2_at, pi_j: np.ndarray, pi_k: np.ndarray) -> RFunctionals:
-    """Finite-n functionals pi_j^T f(Sigma) pi_k for the CLT covariance.
+def r_functional(sigma, g2a: complex, g2b: complex,
+                 pi_j: np.ndarray, pi_k: np.ndarray) -> complex:
+    """Finite-n functional pi_j^T (I+g2a Sigma)^{-1} Sigma (I+g2b Sigma)^{-1} pi_k.
 
-    ``g2_at`` is either a single g2 value (one-point form, two-point form
-    at coincident arguments) or a pair (g2(z1), g2(z2)).  ``sigma`` may be
-    the matrix itself or a precomputed (eigenvalues, eigenvectors) pair.
+    The one-point form (I+g2 Sigma)^{-2} Sigma is the same call at
+    g2a = g2b.  ``sigma`` may be the matrix itself or a precomputed
+    (eigenvalues, eigenvectors) pair.
     """
     evals, evecs = _sigma_eig(sigma)
-    if np.isscalar(g2_at) or isinstance(g2_at, complex):
-        ga = gb = complex(g2_at)
-    else:
-        if len(g2_at) != 2:
-            raise DomainError("g2_at must be a scalar or a pair")
-        ga, gb = complex(g2_at[0]), complex(g2_at[1])
-    den_a = 1.0 + ga * evals
-    den_b = 1.0 + gb * evals
+    den_a = 1.0 + complex(g2a) * evals
+    den_b = 1.0 + complex(g2b) * evals
     if np.min(np.abs(den_a)) < 1e-12 or np.min(np.abs(den_b)) < 1e-12:
         raise PoleError("I + g2 Sigma is numerically singular")
-    qj = evecs.T @ np.asarray(pi_j, dtype=np.float64).ravel()
-    qk = evecs.T @ np.asarray(pi_k, dtype=np.float64).ravel()
-    cross = qj * qk * evals
-    return RFunctionals(
-        r_two_point=complex(np.sum(cross / (den_a * den_b))),
-        r_one_point=complex(np.sum(cross / (den_a * den_a))),
-    )
+    qj = evecs.T @ _unit_vector(pi_j, "pi_j")
+    qk = evecs.T @ _unit_vector(pi_k, "pi_k")
+    return complex(np.sum(qj * qk * evals / (den_a * den_b)))
 
 
 def deterministic_equivalent(z: complex, g2: complex, sigma,
                              pi1: np.ndarray, pi2: np.ndarray) -> complex:
-    """Almost-sure limit of the bilinear form: -z^{-1} pi1^T (I+g2 Sigma)^{-1} pi2.
+    """Almost-sure limit of the bilinear form: -z^{-1} pi1^T (I+g2 Sigma)^{-1} pi2,
+    for unit vectors pi1 and pi2.
 
     Sign sanity check: isotropically (Sigma = I) this reduces to m(z), so
     diagonal forms keep Im > 0 in the upper half plane.
@@ -197,8 +175,8 @@ def deterministic_equivalent(z: complex, g2: complex, sigma,
     den = 1.0 + complex(g2) * evals
     if np.min(np.abs(den)) < 1e-12:
         raise PoleError("I + g2 Sigma is numerically singular")
-    q1 = evecs.T @ np.asarray(pi1, dtype=np.float64).ravel()
-    q2 = evecs.T @ np.asarray(pi2, dtype=np.float64).ravel()
+    q1 = evecs.T @ _unit_vector(pi1, "pi1")
+    q2 = evecs.T @ _unit_vector(pi2, "pi2")
     return complex(-np.sum(q1 * q2 / den) / complex(z))
 
 
@@ -207,12 +185,11 @@ def _cov_from_kernels(k1, k2, sigma, pis, g2a, g2b):
     across the pair, r12 one-point at g2a and r34 one-point at g2b."""
     eig = _sigma_eig(sigma)
 
-    def r(j, k):
-        return r_functionals(eig, (g2a, g2b), pis[j], pis[k]).r_two_point
+    def r(j, k, ga=g2a, gb=g2b):
+        return r_functional(eig, ga, gb, pis[j], pis[k])
 
-    r12 = r_functionals(eig, g2a, pis[0], pis[1]).r_one_point
-    r34 = r_functionals(eig, g2b, pis[2], pis[3]).r_one_point
-    return k1 * (r(0, 3) * r(1, 2) + r(0, 2) * r(1, 3)) + k2 * r12 * r34
+    return (k1 * (r(0, 3) * r(1, 2) + r(0, 2) * r(1, 3))
+            + k2 * r(0, 1, gb=g2a) * r(2, 3, ga=g2b))
 
 
 def cov_m(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
@@ -328,7 +305,7 @@ def eigvec_stat_cov(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
         contour = default_contour(c, h1, h2)
     outer, inner = contour, contour.inner()
     evals, evecs = _sigma_eig(sigma)
-    proj = evecs.T @ np.asarray(pi, dtype=np.float64).ravel()
+    proj = evecs.T @ _unit_vector(pi)
     wd = proj ** 2 * evals
 
     nodes1, w1 = _contour_nodes(inner, quad_n)
@@ -365,15 +342,15 @@ def contour_moment(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
     for each zeta of the sequence ``zetas``, from one solve of the contour.
 
     Uses int zeta dF = -(2 pi i)^{-1} oint zeta(z) s(z) dz with
-    s(z) = -z^{-1} pi^T (I + g2(z) Sigma)^{-1} pi.  The constant part of
-    zeta is split off and integrated exactly (the law has total mass one),
-    so a constant zeta returns exactly zeta(0).  Each zeta is called on 0.0
-    and once on the array of nodes.
+    s(z) = -z^{-1} pi^T (I + g2(z) Sigma)^{-1} pi.  pi must be a unit
+    vector, so the law has total mass one: the constant part of zeta is
+    split off and integrated exactly, and a constant zeta returns exactly
+    zeta(0).  Each zeta is called on 0.0 and once on the array of nodes.
     """
     if contour is None:
         contour = default_contour(c, h1, h2)
     evals, evecs = _sigma_eig(sigma)
-    proj = evecs.T @ np.asarray(pi, dtype=np.float64).ravel()
+    proj = evecs.T @ _unit_vector(pi)
     wpi = proj ** 2
     nodes, w = _contour_nodes(contour, quad_n)
     g2 = solve_lsd(c, h1, h2, nodes).g2

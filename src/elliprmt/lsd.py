@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _unit_vector
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -362,9 +362,10 @@ def stieltjes_invert(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
     """Recover density and CDF on a grid via density(x) = Im m(x + i eps)/pi.
 
     With ``sigma_eig = (eigenvalues, eigenvectors)`` and a unit vector
-    ``pi`` supplied, the anisotropic law is inverted instead, using its
-    transform -z^{-1} pi^T (I + g2(z) Sigma)^{-1} pi.  The CDF accumulates
-    by trapezoid and carries the point mass 1 - 1/c at zero when c > 1.
+    ``pi`` supplied (``DomainError`` for any other pi), the anisotropic law
+    is inverted instead, using its transform
+    -z^{-1} pi^T (I + g2(z) Sigma)^{-1} pi.  The CDF accumulates by
+    trapezoid and carries the point mass 1 - 1/c at zero when c > 1.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -377,7 +378,7 @@ def stieltjes_invert(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
         raise DomainError("supply sigma_eig and pi together or not at all")
     if sigma_eig is not None:
         evals, evecs = sigma_eig
-        proj = evecs.T @ np.asarray(pi, dtype=np.float64)
+        proj = evecs.T @ _unit_vector(pi)
         weights = proj ** 2
 
     zero_mass = 0.0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "RadiusLaw",
     "RADIUS_KINDS",
     "radius_law_to_h2",
-    "measure_integral",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -90,9 +89,6 @@ class DiscreteMeasure:
     def support(self) -> tuple[float, float]:
         return float(self.atoms[0]), float(self.atoms[-1])
 
-    def mean(self) -> float:
-        return float(np.dot(self.weights, self.atoms))
-
     def is_point_mass_at(self, x: float, tol: float = 0.0) -> bool:
         return self.atoms.size == 1 and abs(float(self.atoms[0]) - x) <= tol
 
@@ -111,15 +107,13 @@ class DiscreteMeasure:
             fh.write(self.to_csv())
 
     @classmethod
-    def from_csv(cls, text_or_path) -> "DiscreteMeasure":
-        if hasattr(text_or_path, "read"):
-            text = text_or_path.read()
-        else:
-            text = str(text_or_path)
-            if "\n" not in text and not text.lstrip().startswith("atom"):
-                with open(text, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-        rows = list(csv.reader(io.StringIO(text)))
+    def from_csv(cls, path) -> "DiscreteMeasure":
+        """Read the measure from the CSV file at ``path``."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read measure file {path}: {exc}") from exc
         if not rows or [c.strip() for c in rows[0]] != ["atom", "weight"]:
             raise ConfigError("measure CSV must start with header 'atom,weight' (line 1)")
         atoms, weights = [], []
@@ -136,24 +130,6 @@ class DiscreteMeasure:
         if not atoms:
             raise ConfigError("measure CSV has no data rows")
         return cls(np.array(atoms), np.array(weights))
-
-
-def measure_integral(mu: DiscreteMeasure, f: Callable[[float], complex]) -> complex:
-    """Integrate a scalar function against a discrete measure: sum w_j f(a_j).
-
-    Exact for discrete measures.  Raises :class:`DomainError` naming the
-    offending atom if ``f`` is non-finite there.
-    """
-    total = 0.0 + 0.0j
-    for a, w in zip(mu.atoms, mu.weights):
-        try:
-            val = complex(f(float(a)))
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise DomainError(f"integrand is non-finite at atom {float(a)!r}: {exc}") from exc
-        if not (np.isfinite(val.real) and np.isfinite(val.imag)):
-            raise DomainError(f"integrand is non-finite at atom {float(a)!r}")
-        total += w * val
-    return total
 
 
 RADIUS_KINDS = ("deterministic", "two-point", "chi-square", "gamma")

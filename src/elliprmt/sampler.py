@@ -134,7 +134,6 @@ class EllipticalSample:
 
     data: np.ndarray
     radii: np.ndarray
-    seed: int
     law: RadiusLaw
     population: PopulationSpec
 
@@ -181,8 +180,8 @@ def draw_sample(spec: PopulationSpec, law: RadiusLaw, n: int, seed: int) -> Elli
     directions = rng.standard_normal((spec.p, n))
     directions /= np.linalg.norm(directions, axis=0)
     data = directions * np.sqrt(sq_radii)
-    return EllipticalSample(data=data, radii=np.sqrt(sq_radii), seed=int(seed),
-                            law=law, population=spec)
+    return EllipticalSample(data=data, radii=np.sqrt(sq_radii), law=law,
+                            population=spec)
 
 
 def replicate_seed(master_seed: int, replicate: int) -> int:
@@ -191,7 +190,7 @@ def replicate_seed(master_seed: int, replicate: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def quadform_moment_oracle(a: np.ndarray, b: np.ndarray, p: int | None = None) -> float:
+def quadform_moment_oracle(a: np.ndarray, b: np.ndarray) -> float:
     """Exact Cov(u^T A u, u^T B u) for u uniform on the unit sphere.
 
     Closed form: [tr(A B^T) + tr(A B)] / (p (p+2)) - 2 tr(A) tr(B) / (p^2 (p+2)).
@@ -203,10 +202,7 @@ def quadform_moment_oracle(a: np.ndarray, b: np.ndarray, p: int | None = None) -
         raise DomainError("A must be square")
     if b.shape != a.shape:
         raise DomainError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
-    if p is None:
-        p = a.shape[0]
-    elif p != a.shape[0]:
-        raise DomainError(f"declared p={p} does not match matrix size {a.shape[0]}")
+    p = a.shape[0]
     tr_abt = float(np.tensordot(a, b, axes=2))        # tr(A B^T)
     tr_ab = float(np.tensordot(a, b.T, axes=2))       # tr(A B)
     return (tr_abt + tr_ab) / (p * (p + 2)) - 2.0 * np.trace(a) * np.trace(b) / (p ** 2 * (p + 2))

@@ -8,7 +8,9 @@ g2 = -1/alpha as the root of one scalar equation, with g1 and g2 exact; the
 threshold is -1/s* with s* the value of g2 at the upper bulk edge.  The
 derivatives of that exact solution give G', the spread of the relative
 deviation (lambda - theta)/theta and the squared overlap between population
-and sample spike eigenvectors.
+and sample spike eigenvectors.  ``predict_spike`` is the one entry point
+for these four quantities; ``goe_covariance_profile`` gives the covariance
+of the centered spike matrix at a point above the bulk.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ from .measures import DiscreteMeasure
 
 __all__ = [
     "SpikePrediction",
-    "transition",
-    "sigma_delta_sq",
-    "overlap_sq",
     "GoeCovarianceProfile",
     "goe_covariance_profile",
     "predict_spike",
@@ -50,64 +49,43 @@ class SpikePrediction:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _locate(c, h1_nonspiked, h2, alpha, edge):
-    """theta, G'(alpha) and the z-derivatives of the exact solution at theta."""
+def predict_spike(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
+                  alpha: float, edge: float | None = None) -> SpikePrediction:
+    """theta, G', sigma_Delta^2 and the overlap limit for one spike.
+
+    theta = z(-1/alpha) by the inverse map, and G'(alpha) =
+    1/(alpha^2 g2'(theta)) by implicit differentiation.
+    ``SubcriticalSpikeError`` unless alpha > max H1 and G' > 0, i.e. alpha
+    above the threshold -1/s* of ``upper_edge_g2``; a given ``edge`` only
+    adds the guard theta > edge.  H1 is the non-spiked population spectrum
+    (spikes zeroed, all p eigenvalues kept).
+
+    sigma_Delta^2, the limit variance of sqrt(n) (lambda - theta)/theta, is
+    (2 h1 + h2) / (c g2'^2) with the coincident kernels at t = theta, i.e.
+    2 (t g2)' / ((t mu)' g2' t^2) + (mu/g2)' / g1' with mu the companion
+    transform; the second term vanishes and the first reduces to
+    2/(mu'(theta) theta^2) in the light-tail regime.  The squared overlap
+    between population and sample spike eigenvectors tends to
+    G'(alpha) / (G(alpha)/alpha).
+    """
     if alpha <= 0:
         raise DomainError("spike alpha must be positive")
     if alpha > float(h1_nonspiked.atoms[-1]):
         sol = solve_lsd_inverse(c, h1_nonspiked, h2, -1.0 / alpha)
         der = derivatives(sol, c, h1_nonspiked, h2)
-        theta, g_prime = sol.z.real, 1.0 / (alpha ** 2 * der.g2p.real)
+        theta = float(sol.z.real)
+        g_prime = float(1.0 / (alpha ** 2 * der.g2p.real))
         if g_prime > 0 and (edge is None or theta > edge):
-            return float(theta), float(g_prime), der
+            k1, k2 = _diagonal_kernels(c, theta, der)
+            sdsq = (2.0 * k1 + k2) / (c * der.g2p ** 2)
+            return SpikePrediction(alpha=float(alpha), theta=theta, g_prime=g_prime,
+                                   sigma_delta_sq=float(sdsq.real),
+                                   overlap_sq=float(g_prime / (theta / alpha)),
+                                   light_tail=h2.is_point_mass_at(1.0, tol=1e-12))
     threshold = -1.0 / upper_edge_g2(c, h1_nonspiked, h2)
     raise SubcriticalSpikeError(
         f"spike alpha={alpha} is not above the detectability threshold "
         f"{threshold:.6g}; its sample eigenvalue sticks to the bulk", threshold=threshold)
-
-
-def transition(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
-               alpha: float, edge: float | None = None) -> tuple[float, float]:
-    """Spike location theta = z(-1/alpha) by the inverse map, and
-    G'(alpha) = 1/(alpha^2 g2'(theta)) by implicit differentiation.
-
-    ``SubcriticalSpikeError`` unless alpha > max H1 and G' > 0, i.e. alpha
-    above the threshold -1/s* of ``upper_edge_g2``; a given ``edge`` only
-    adds the guard theta > edge.  H1 is the non-spiked population spectrum
-    (spikes zeroed, all p eigenvalues kept).
-    """
-    return _locate(c, h1_nonspiked, h2, alpha, edge)[:2]
-
-
-def sigma_delta_sq(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
-                   alpha: float) -> float:
-    """Limit variance of sqrt(n) (lambda - theta)/theta for one spike.
-
-    Evaluates (2 h1 + h2) / (c g2'^2) with the coincident kernels at
-    t = theta, i.e. 2 (t g2)' / ((t mu)' g2' t^2) + (mu/g2)' / g1' with mu
-    the companion transform; the second term vanishes and the first
-    reduces to 2/(mu'(theta) theta^2) in the light-tail regime.
-    """
-    return predict_spike(c, h1_nonspiked, h2, alpha).sigma_delta_sq
-
-
-def overlap_sq(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
-               alpha: float) -> float:
-    """Almost-sure limit of the squared population/sample eigenvector overlap:
-    G'(alpha) / (G(alpha)/alpha)."""
-    return predict_spike(c, h1_nonspiked, h2, alpha).overlap_sq
-
-
-def predict_spike(c: float, h1_nonspiked: DiscreteMeasure, h2: DiscreteMeasure,
-                  alpha: float, edge: float | None = None) -> SpikePrediction:
-    """Bundle theta, G', sigma_Delta^2 and the overlap limit for one spike."""
-    theta, g_prime, der = _locate(c, h1_nonspiked, h2, alpha, edge)
-    k1, k2 = _diagonal_kernels(c, theta, der)
-    sdsq = (2.0 * k1 + k2) / (c * der.g2p ** 2)
-    return SpikePrediction(alpha=float(alpha), theta=theta, g_prime=g_prime,
-                           sigma_delta_sq=float(sdsq.real),
-                           overlap_sq=float(g_prime / (theta / alpha)),
-                           light_tail=h2.is_point_mass_at(1.0, tol=1e-12))
 
 
 @dataclass(frozen=True)
@@ -133,9 +111,6 @@ class GoeCovarianceProfile:
         if (i == kk and j == ll) or (i == ll and j == kk):
             return self.sigma12_sq
         return 0.0
-
-    def __call__(self, i: int, j: int, kk: int, ll: int) -> float:
-        return self.cov(i, j, kk, ll)
 
 
 def goe_covariance_profile(c: float, h1_nonspiked: DiscreteMeasure,

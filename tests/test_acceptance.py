@@ -16,7 +16,7 @@ import pytest
 from elliprmt.experiments import ExperimentConfig, run_experiment
 from elliprmt.lsd import derivatives, solve_lsd
 from elliprmt.measures import DiscreteMeasure
-from elliprmt.spikes import overlap_sq, sigma_delta_sq, transition
+from elliprmt.spikes import predict_spike
 
 D1 = DiscreteMeasure.point_mass(1.0)
 H2_HEAVY = DiscreteMeasure(np.array([0.0, np.sqrt(2.0)]), np.array([0.5, 0.5]))
@@ -90,15 +90,16 @@ def test_criterion_03_derivative_oracle():
 
 def test_criterion_04_spike_transition():
     c, alpha = 0.5, 8.0
-    theta, _ = transition(c, D1, D1, alpha)
+    pred = predict_spike(c, D1, D1, alpha)
+    theta = pred.theta
     gap_theta = abs(theta - 60.0 / 7.0)
     x = 60.0 / 7.0
     disc = np.sqrt((x + 1 - c) ** 2 - 4 * x)
     mu = (-(x + 1 - c) + disc) / (2 * x)
     mup = -(mu ** 2 + mu) / (2 * x * mu + x + 1 - c)
-    gap_var = abs(sigma_delta_sq(c, D1, D1, alpha) - 2.0 / (mup * x * x))
+    gap_var = abs(pred.sigma_delta_sq - 2.0 / (mup * x * x))
     expect_overlap = (1 - c / 49.0) / (1 + c / 7.0)
-    gap_overlap = abs(overlap_sq(c, D1, D1, alpha) - expect_overlap)
+    gap_overlap = abs(pred.overlap_sq - expect_overlap)
     ok = gap_theta < 1e-8 and gap_var < 1e-8 and gap_overlap < 1e-8
     _report(4, "spike location, variance, overlap closed forms", ok,
             f"|theta-60/7|={gap_theta:.2e}, |var-2/(mu' t^2)|={gap_var:.2e}, "

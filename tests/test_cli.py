@@ -153,6 +153,23 @@ def test_measure_file_round_trip(tmp_path, capsys):
     assert data["residual"] < 1e-10
 
 
+def test_spike_predict_measure_file_is_a_directory(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "spike", "predict", "--alpha", "8", "--c", "0.5",
+                           "--h1", f"file:{tmp_path}", "--h2", "delta:1")
+    assert code == 1
+    assert err.startswith("error: cannot read measure file")
+
+
+def test_spike_predict_measure_file_named_atoms(tmp_path, capsys, monkeypatch):
+    # a relative path that starts with "atom" is a file name, not CSV text
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "atoms.csv").write_text("atom,weight\n1.0,1.0\n")
+    code, out, err = run_cli(capsys, "spike", "predict", "--alpha", "8", "--c", "0.5",
+                             "--h1", "file:atoms.csv", "--h2", "delta:1")
+    assert code == 0, err
+    assert abs(json.loads(out)["theta"] - 60.0 / 7.0) < 1e-8
+
+
 def _mc_config(tmp_path, **over):
     raw = {
         "kind": "spike-dist", "p": 30, "n": 60, "reps": 25, "seed": 77,
@@ -200,6 +217,19 @@ def test_mc_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert code == 0
     summary = json.loads((tmp_path / "env" / "summary.json").read_text())
     assert summary["seed"] == 12345
+
+
+def test_mc_seed_env_not_an_integer(tmp_path, capsys, monkeypatch):
+    raw = json.loads(_mc_config(tmp_path).read_text())
+    del raw["seed"]
+    path = tmp_path / "noseed.json"
+    path.write_text(json.dumps(raw))
+    monkeypatch.setenv("ELLIPRMT_SEED", "abc")
+    code, _, err = run_cli(capsys, "mc", "--config", str(path), "--out",
+                           str(tmp_path / "env"))
+    assert code == 1
+    assert err.startswith("error: ELLIPRMT_SEED")
+    assert not (tmp_path / "env").exists()
 
 
 def test_mc_seed_flag_overrides(tmp_path, capsys):

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from elliprmt import covariance
 from elliprmt.covariance import (ScmBundle, _eigvalsh, _population_root,
-                                 bilinear_resolvent, build_scm,
-                                 spike_determinant_residual, spiked_quadform, vesd)
+                                 bilinear_resolvent, build_scm, spiked_quadform)
 from elliprmt.errors import ConfigError, DomainError, PoleError
 from elliprmt.lsd import solve_lsd
 from elliprmt.measures import DiscreteMeasure, RadiusLaw
@@ -38,7 +37,6 @@ def test_scm_reconstruction_and_normalization():
     direct = scale / 40 * sample.data @ sample.data.T
     rel = np.linalg.norm(bundle.matrix - direct) / np.linalg.norm(direct)
     assert rel < 1e-9
-    assert bundle.normalization == pytest.approx(scale)
     v = bundle.eigenvectors
     assert np.linalg.norm(v.T @ v - np.eye(20)) < 1e-9
     assert np.all(np.diff(bundle.eigenvalues) >= 0)
@@ -61,9 +59,9 @@ def test_spiked_scm_top_eigenvalue_near_prediction():
     sample, spec = _spiked_sample(50, 100, seed=4)
     bundle = build_scm(sample)
     from elliprmt.sampler import nonspiked_spectrum_measure
-    from elliprmt.spikes import transition
+    from elliprmt.spikes import predict_spike
     h1n = nonspiked_spectrum_measure(spec)
-    theta, _ = transition(0.5, h1n, DiscreteMeasure.point_mass(1.0), 8.0)
+    theta = predict_spike(0.5, h1n, DiscreteMeasure.point_mass(1.0), 8.0).theta
     assert abs(bundle.eigenvalues[-1] - theta) < 4 * theta / np.sqrt(100)
 
 
@@ -90,7 +88,7 @@ def test_eigenvalue_only_scm_matches_full(kind, nu, seed):
     only = build_scm(sample, vectors=False)
     assert only.eigenvectors is None
     assert np.array_equal(only.matrix, full.matrix)
-    lam1, ref = only.top_eigenvalues(1)[0], full.top_eigenvalues(1)[0]
+    lam1, ref = only.eigenvalues[-1], full.eigenvalues[-1]
     assert abs(lam1 - ref) <= 1e-12 * ref
     assert np.all(np.diff(only.eigenvalues) >= 0)
 
@@ -245,11 +243,8 @@ def test_eigenvalue_only_scm_has_no_vectors():
         bundle.top_eigenvectors(1)
     with pytest.raises(ConfigError, match="without eigenvectors"):
         bilinear_resolvent(bundle, pi, pi, 1j)
-    with pytest.raises(ConfigError, match="without eigenvectors"):
-        vesd(bundle, pi, np.linspace(0.0, 4.0, 5))
     # a bundle assembled by hand may also omit them, and stays read-only
-    hand = ScmBundle(matrix=np.eye(3), eigenvalues=np.ones(3), eigenvectors=None,
-                     normalization=1.0)
+    hand = ScmBundle(matrix=np.eye(3), eigenvalues=np.ones(3), eigenvectors=None)
     assert not hand.eigenvalues.flags.writeable
     with pytest.raises(ConfigError):
         hand.top_eigenvectors(1)
@@ -258,7 +253,7 @@ def test_eigenvalue_only_scm_has_no_vectors():
 def test_zero_matrix_resolvent():
     p = 6
     bundle = ScmBundle(matrix=np.zeros((p, p)), eigenvalues=np.zeros(p),
-                       eigenvectors=np.eye(p), normalization=1.0)
+                       eigenvectors=np.eye(p))
     pi = np.full(p, 1 / np.sqrt(p))
     assert abs(bilinear_resolvent(bundle, pi, pi, 1j) - 1j) < 1e-14
 
@@ -313,81 +308,31 @@ def test_positive_imaginary_part_for_diagonal_forms():
     assert val.imag > 0
 
 
-# --- VESD --------------------------------------------------------------------
-
-def test_vesd_mass_and_monotone():
-    sample = _identity_sample(25, 50, seed=11)
-    bundle = build_scm(sample)
-    rng = np.random.default_rng(1)
-    pi = rng.standard_normal(25)
-    pi /= np.linalg.norm(pi)
-    grid = np.linspace(0, 5, 80)
-    out = vesd(bundle, pi, grid)
-    assert abs(out.vesd[-1] - 1.0) < 1e-10
-    assert abs(out.esd[-1] - 1.0) < 1e-12
-    assert np.all(np.diff(out.vesd) >= -1e-15)
-    assert np.all(np.diff(out.esd) >= 0)
-
-
-def test_vesd_single_eigenvector_is_step():
-    sample = _identity_sample(12, 24, seed=12)
-    bundle = build_scm(sample)
-    k = 5
-    lam = bundle.eigenvalues[k]
-    grid = np.array([lam - 1e-6, lam + 1e-6, 10.0])
-    out = vesd(bundle, bundle.eigenvectors[:, k], grid)
-    assert out.vesd[0] < 1e-12
-    assert abs(out.vesd[1] - 1.0) < 1e-12
-
-
-def test_vesd_basis_average_is_esd():
-    sample = _identity_sample(10, 20, seed=13)
-    bundle = build_scm(sample)
-    grid = np.linspace(0, 4, 40)
-    acc = np.zeros_like(grid)
-    for k in range(10):
-        acc += vesd(bundle, np.eye(10)[k], grid).vesd
-    esd = vesd(bundle, np.eye(10)[0], grid).esd
-    assert np.allclose(acc / 10, esd, atol=1e-12)
-
-
-def test_vesd_haar_like_discrepancy():
-    sample = _identity_sample(200, 400, seed=14)
-    bundle = build_scm(sample)
-    pi = np.zeros(200)
-    pi[0] = 1.0
-    grid = np.linspace(0, 4, 600)
-    out = vesd(bundle, pi, grid)
-    assert np.max(np.abs(out.vesd - out.esd)) < 0.15
-
-
-def test_vesd_csv(tmp_path):
-    sample = _identity_sample(6, 12, seed=15)
-    bundle = build_scm(sample)
-    out = vesd(bundle, np.eye(6)[0], np.linspace(0, 4, 5))
-    path = tmp_path / "vesd.csv"
-    out.write_csv(path)
-    assert path.read_text().splitlines()[0] == "x,esd,vesd"
-
-
 # --- spiked determinant equation ---------------------------------------------
+
+def _spike_determinant(sample, lam):
+    """|det(Lambda_S^{-1} - U1^T Y (lam I - Y^T Sigma_1p Y)^{-1} Y^T U1)|,
+    zero exactly when lam is a spiked sample eigenvalue of the SCM."""
+    spikes = np.asarray(sample.population.spikes)
+    return abs(np.linalg.det(np.diag(1.0 / spikes) - spiked_quadform(sample, lam)))
+
 
 def test_spike_determinant_vanishes_at_sample_spike():
     sample, spec = _spiked_sample(60, 120, seed=16)
     bundle = build_scm(sample)
     lam1 = bundle.eigenvalues[-1]
-    assert spike_determinant_residual(sample, lam1) < 1e-6
+    assert _spike_determinant(sample, lam1) < 1e-6
 
 
 def test_spike_determinant_far_field():
     sample, _ = _spiked_sample(40, 80, seed=17)
-    assert abs(spike_determinant_residual(sample, 1e6) - 1 / 8) < 1e-3
+    assert abs(_spike_determinant(sample, 1e6) - 1 / 8) < 1e-3
 
 
 def test_spike_determinant_requires_spikes():
     sample = _identity_sample(10, 20, seed=18)
     with pytest.raises(ConfigError):
-        spike_determinant_residual(sample, 5.0)
+        spiked_quadform(sample, 5.0)
 
 
 def test_spiked_quadform_pole_detection():

@@ -347,7 +347,7 @@ def test_vesd_const_stat_exactly_zero(tmp_path):
 def test_vesd_with_spike():
     from elliprmt.experiments import _population
     from elliprmt.sampler import nonspiked_spectrum_measure
-    from elliprmt.spikes import transition
+    from elliprmt.spikes import predict_spike
     cfg = ExperimentConfig.from_dict({
         "kind": "vesd", "p": 20, "n": 40, "reps": 20, "seed": 5,
         "population": {"spikes": [8.0], "bulk": "ones"}, "pi": "uniform",
@@ -357,7 +357,7 @@ def test_vesd_with_spike():
     assert all(np.all(np.isfinite(v)) for v in res.summary.values()
                if isinstance(v, (float, list)))
     spec, (_, evecs, evals), _, h2, _ = _population(cfg)
-    theta, _ = transition(cfg.c, nonspiked_spectrum_measure(spec), h2, 8.0)
+    theta = predict_spike(cfg.c, nonspiked_spectrum_measure(spec), h2, 8.0).theta
     # the reference CDF runs over the contour's span, which must enclose theta
     # and the whole finite-p law: its mass reaches 1 and int x dF = pi' Sigma pi
     grid = np.array([row.split(",") for row in

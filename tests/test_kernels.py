@@ -9,11 +9,11 @@ from elliprmt.errors import ConfigError, DomainError
 from elliprmt.kernels import (ContourSpec, contour_moment, cov_m, cov_m_diagonal,
                               default_contour, deterministic_equivalent,
                               eigvec_stat_cov, kernels, kernels_diagonal,
-                              r_functionals)
+                              r_functional)
 from elliprmt.kernels import _ROW_BLOCK, _pair_kernels, _solved
 from elliprmt.lsd import find_bulk_edges, solve_lsd
 from elliprmt.measures import DiscreteMeasure, RadiusLaw, radius_law_to_h2
-from elliprmt.spikes import sigma_delta_sq
+from elliprmt.spikes import predict_spike
 
 D1 = DiscreteMeasure.point_mass(1.0)
 H2_HEAVY = DiscreteMeasure(np.array([0.0, np.sqrt(2.0)]), np.array([0.5, 0.5]))
@@ -145,17 +145,16 @@ def test_r_functionals_isotropic_reduction():
     pi /= np.linalg.norm(pi)
     s1 = solve_lsd(C, D1, D1, 1 + 1j)
     s2 = solve_lsd(C, D1, D1, 2 + 1j)
-    rf = r_functionals(np.eye(p), (s1.g2, s2.g2), pi, pi)
-    assert abs(rf.r_two_point - 1.0 / ((1 + s1.g2) * (1 + s2.g2))) < 1e-12
-    assert abs(rf.r_one_point - 1.0 / (1 + s1.g2) ** 2) < 1e-12
+    r_cross = r_functional(np.eye(p), s1.g2, s2.g2, pi, pi)
+    assert abs(r_cross - 1.0 / ((1 + s1.g2) * (1 + s2.g2))) < 1e-12
+    r_one = r_functional(np.eye(p), s1.g2, s1.g2, pi, pi)
+    assert abs(r_one - 1.0 / (1 + s1.g2) ** 2) < 1e-12
 
 
 def test_r_functionals_orthogonal_vectors_vanish():
     p = 5
     s1 = solve_lsd(C, D1, D1, 1 + 1j)
-    rf = r_functionals(np.eye(p), s1.g2, np.eye(p)[0], np.eye(p)[1])
-    assert abs(rf.r_two_point) < 1e-15
-    assert abs(rf.r_one_point) < 1e-15
+    assert abs(r_functional(np.eye(p), s1.g2, s1.g2, np.eye(p)[0], np.eye(p)[1])) < 1e-15
 
 
 def test_r_functionals_spiked_top_vector():
@@ -166,9 +165,9 @@ def test_r_functionals_spiked_top_vector():
     sigma = (q * d) @ q.T
     s1 = solve_lsd(C, D1, D1, 1 + 1j)
     s2 = solve_lsd(C, D1, D1, 2 + 1j)
-    rf = r_functionals(sigma, (s1.g2, s2.g2), q[:, 0], q[:, 0])
+    got = r_functional(sigma, s1.g2, s2.g2, q[:, 0], q[:, 0])
     expected = alpha / ((1 + s1.g2 * alpha) * (1 + s2.g2 * alpha))
-    assert abs(rf.r_two_point - expected) < 1e-10
+    assert abs(got - expected) < 1e-10
 
 
 def test_deterministic_equivalent_isotropic_is_m():
@@ -178,6 +177,13 @@ def test_deterministic_equivalent_isotropic_is_m():
     pi[0] = 1
     val = deterministic_equivalent(z, sol.g2, np.eye(9), pi, pi)
     assert abs(val - sol.m) < 1e-12
+
+
+def test_deterministic_equivalent_rejects_non_unit_pi():
+    sol = solve_lsd(C, D1, D1, 1 + 1j)
+    e1 = np.eye(8)[0]
+    with pytest.raises(DomainError, match="unit norm"):
+        deterministic_equivalent(1 + 1j, sol.g2, np.eye(8), 2 * e1, e1)
 
 
 # --- cov_m ---------------------------------------------------------------------
@@ -190,11 +196,17 @@ def test_cov_m_reduces_to_varpi_when_all_vectors_equal():
     kv = kernels(C, D1, H2_HEAVY, z1, z2)
     s1 = solve_lsd(C, D1, H2_HEAVY, z1)
     s2 = solve_lsd(C, D1, H2_HEAVY, z2)
-    r_cross = r_functionals(np.eye(p), (s1.g2, s2.g2), pi, pi).r_two_point
-    r1 = r_functionals(np.eye(p), s1.g2, pi, pi).r_one_point
-    r2 = r_functionals(np.eye(p), s2.g2, pi, pi).r_one_point
+    r_cross = r_functional(np.eye(p), s1.g2, s2.g2, pi, pi)
+    r1 = r_functional(np.eye(p), s1.g2, s1.g2, pi, pi)
+    r2 = r_functional(np.eye(p), s2.g2, s2.g2, pi, pi)
     varpi = 2 * kv.h1 * r_cross ** 2 + kv.h2 * r1 * r2
     assert abs(value - varpi) < 1e-12
+
+
+def test_cov_m_rejects_non_unit_pi():
+    e1 = np.eye(6)[0]
+    with pytest.raises(DomainError, match="unit norm"):
+        cov_m(C, D1, H2_HEAVY, np.eye(6), (2 * e1, e1, e1, e1), 1.2 + 0.9j, 2.2 + 0.7j)
 
 
 def test_cov_m_orthogonal_blocks_leave_h2_term():
@@ -205,8 +217,8 @@ def test_cov_m_orthogonal_blocks_leave_h2_term():
     kv = kernels(C, D1, H2_HEAVY, z1, z2)
     s1 = solve_lsd(C, D1, H2_HEAVY, z1)
     s2 = solve_lsd(C, D1, H2_HEAVY, z2)
-    r12 = r_functionals(np.eye(p), s1.g2, e1, e1).r_one_point
-    r34 = r_functionals(np.eye(p), s2.g2, e2, e2).r_one_point
+    r12 = r_functional(np.eye(p), s1.g2, s1.g2, e1, e1)
+    r34 = r_functional(np.eye(p), s2.g2, s2.g2, e2, e2)
     assert abs(value - kv.h2 * r12 * r34) < 1e-12
 
 
@@ -257,6 +269,13 @@ def test_contour_moment_constant_is_exact():
     assert got == pytest.approx(3.0, abs=1e-12)
 
 
+def test_contour_moment_rejects_non_unit_pi():
+    # at pi = 2 e1 the x moment would scale by 4 while the constant part
+    # assumes mass one
+    with pytest.raises(DomainError, match="unit norm"):
+        contour_moment(C, D1, D1, np.eye(8), 2 * np.eye(8)[0], [_x], quad_n=32)
+
+
 def test_contour_moment_mp_second_moment():
     pi = np.zeros(5)
     pi[0] = 1
@@ -267,6 +286,11 @@ def test_contour_moment_mp_second_moment():
     # one solve for both gives each the value of its own call, bit for bit
     for f, v in zip(zetas, got):
         assert contour_moment(C, D1, D1, np.eye(5), pi, [f], quad_n=256)[0] == v
+
+
+def test_eigvec_stat_cov_rejects_non_unit_pi():
+    with pytest.raises(DomainError, match="unit norm"):
+        eigvec_stat_cov(C, D1, D1, np.eye(8), 2 * np.eye(8)[0], [_x], quad_n=8)
 
 
 def test_eigvec_stat_cov_matches_exact_limits():
@@ -340,9 +364,9 @@ def test_eigvec_stat_cov_grid_matches_scalar_kernels(h2):
     for z1, a in zip(nodes1, w1):
         for z2, b in zip(nodes2, w2):
             kv = kernels(C, h1, h2, z1, z2)
-            r_cross = r_functionals(sigma, (g2[z1], g2[z2]), pi, pi).r_two_point
-            r1 = r_functionals(sigma, g2[z1], pi, pi).r_one_point
-            r2 = r_functionals(sigma, g2[z2], pi, pi).r_one_point
+            r_cross = r_functional(sigma, g2[z1], g2[z2], pi, pi)
+            r1 = r_functional(sigma, g2[z1], g2[z1], pi, pi)
+            r2 = r_functional(sigma, g2[z2], g2[z2], pi, pi)
             total += a * b * z1 * z2 * (2 * kv.h1 * r_cross ** 2 + kv.h2 * r1 * r2)
     want = (total / (2j * np.pi) ** 2).real
     assert abs(got - want) <= 1e-12 * abs(want)
@@ -449,6 +473,6 @@ def test_heavy_tail_kernels_pinned():
     got["cov_m_diagonal"] = cov_m_diagonal(c, h1, h2, sigma, pis, 1.4 + 0.9j)
     cov = eigvec_stat_cov(c, h1, h2, sigma, u, [_x, _x2])
     got["x_x"], got["x_x2"], got["x2_x2"] = cov[0, 0], cov[0, 1], cov[1, 1]
-    got["sigma_delta_sq"] = sigma_delta_sq(c, h1, h2, 15.0)
+    got["sigma_delta_sq"] = predict_spike(c, h1, h2, 15.0).sigma_delta_sq
     for key, want in PINNED_HEAVY.items():
         assert abs(got[key] - want) <= 1e-13 * abs(want), key

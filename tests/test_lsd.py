@@ -216,6 +216,14 @@ def test_invert_grid_validation():
         stieltjes_invert(0.5, D1, D1, np.linspace(0.1, 1, 10), eps=1e-1)
 
 
+def test_anisotropic_invert_rejects_non_unit_pi():
+    # at pi = 2 e1 the inverted law would carry a total mass near 4
+    grid = np.linspace(1e-3, 4.0, 50)
+    with pytest.raises(DomainError, match="unit norm"):
+        stieltjes_invert(0.5, D1, D1, grid, sigma_eig=(np.ones(8), np.eye(8)),
+                         pi=2 * np.eye(8)[0])
+
+
 def test_density_csv_format(tmp_path):
     grid = np.linspace(0.5, 2.5, 10)
     law = stieltjes_invert(0.5, D1, D1, grid, eps=1e-3)
