@@ -3,8 +3,12 @@
 The normalized SCM of a sample X is ``S = sqrt(p^2/m_p)/n * G X X^T G^T``
 with ``G = U0 D0^{1/2} U0^T`` the symmetric square root of the population
 covariance; a Monte Carlo run forms ``G`` once per population and hands it
-to every replicate.  All resolvent quantities are evaluated spectrally: one
-eigendecomposition per sample, reused across evaluation points.
+to every replicate.  Resolvent quantities are evaluated spectrally: one
+eigendecomposition per sample, reused across evaluation points.  The
+``vesd`` replicates read only the spectral measure of pi under S, so they
+take its Gauss rule from a few Lanczos steps (:func:`gauss_rule`), which
+applies S through products with G and X and forms neither S nor a
+decomposition of it.
 
 Eigenvalue-only decompositions call LAPACK's ``dsyevd`` of the OpenBLAS that
 numpy loaded, through ``ctypes``, which releases the interpreter lock for
@@ -28,6 +32,7 @@ from .sampler import EllipticalSample, build_population
 __all__ = [
     "ScmBundle",
     "build_scm",
+    "gauss_rule",
     "bilinear_resolvent",
     "spiked_quadform",
 ]
@@ -178,6 +183,51 @@ def build_scm(sample: EllipticalSample,
     else:
         evals, evecs = _eigvalsh(s), None
     return ScmBundle(matrix=s, eigenvalues=evals, eigenvectors=evecs)
+
+
+def gauss_rule(sample: EllipticalSample, pi: np.ndarray, k: int, *,
+               gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(nodes, weights)`` of the k-node Gauss rule of the spectral measure
+    ``sum_i (u_i^T pi)^2 delta_{lambda_i}`` of pi under the normalized SCM.
+
+    k Lanczos steps from pi, with full reorthogonalization, give a k-by-k
+    tridiagonal T; the nodes are its eigenvalues and the weights the squared
+    first components of its eigenvectors (Golub-Welsch).  The rule integrates
+    every polynomial of degree up to 2k - 1 exactly.  Each product with S is
+    applied as ``scale * G (X (X^T (G v)))`` with ``gamma = G``, so neither S
+    nor G X nor any p-by-p decomposition is formed.  When the Krylov space of
+    pi closes early (pi an eigenvector of S, say), the rule has fewer nodes
+    and is exact for every polynomial.
+    """
+    pi = _unit_vector(pi, "pi")
+    if pi.size != sample.p:
+        raise DomainError(f"pi has length {pi.size}, expected {sample.p}")
+    if k < 1:
+        raise ConfigError(f"a Gauss rule needs k >= 1 nodes, got {k}")
+    x = sample.data
+    scale = np.sqrt(sample.p ** 2 / sample.law.m_p) / sample.n
+    basis = np.empty((k, sample.p))    # the Lanczos vectors, as rows
+    basis[0] = pi
+    alpha, beta = [], []
+    for j in range(k):
+        v = basis[j]
+        sv = scale * (gamma @ (x @ (x.T @ (gamma @ v))))
+        alpha.append(float(v @ sv))
+        if j == k - 1:
+            break
+        q = basis[:j + 1]
+        r = sv - (q @ sv) @ q
+        r -= (q @ r) @ q                   # a second pass restores orthogonality
+        b = float(np.linalg.norm(r))
+        # the moments (T^m)_11 hold each beta only squared, so a beta below
+        # sqrt(eps) |S v| moves them at rounding level: the space is invariant
+        if b <= np.sqrt(np.finfo(float).eps) * np.linalg.norm(sv):
+            break
+        beta.append(b)
+        basis[j + 1] = r / b
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    nodes, vecs = np.linalg.eigh(t)
+    return nodes, vecs[0] ** 2
 
 
 def bilinear_resolvent(bundle: ScmBundle, pi1: np.ndarray, pi2: np.ndarray,

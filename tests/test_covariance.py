@@ -12,6 +12,7 @@ from elliprmt import covariance
 from elliprmt.covariance import (ScmBundle, _eigvalsh, _population_root,
                                  bilinear_resolvent, build_scm, spiked_quadform)
 from elliprmt.errors import ConfigError, DomainError, PoleError
+from elliprmt.experiments import _vesd_row
 from elliprmt.lsd import solve_lsd
 from elliprmt.measures import DiscreteMeasure, RadiusLaw
 from elliprmt.sampler import PopulationSpec, build_population, draw_sample
@@ -248,6 +249,73 @@ def test_eigenvalue_only_scm_has_no_vectors():
     assert not hand.eigenvalues.flags.writeable
     with pytest.raises(ConfigError):
         hand.top_eigenvectors(1)
+
+
+_GAUSS_POPULATIONS = {
+    "identity": lambda p: PopulationSpec(p=p, spikes=(), bulk=(1.0,) * p),
+    "toeplitz_spike": lambda p: PopulationSpec(p=p, spikes=(8.0,), bulk="uniform",
+                                               bulk_seed=99, toeplitz_rho=0.9),
+}
+
+
+@pytest.mark.parametrize("population", sorted(_GAUSS_POPULATIONS))
+@pytest.mark.parametrize("kind", ["deterministic", "two-point", "gamma"])
+@pytest.mark.parametrize("p,n", [(30, 60), (60, 30)])
+def test_gauss_rule_matches_spectral_measure(population, kind, p, n):
+    # the 2-node rule integrates x^j exactly for j <= 3 against
+    # sum_i (u_i' pi)^2 delta_{lambda_i}, read off the full eigendecomposition
+    spec = _GAUSS_POPULATIONS[population](p)
+    law = RadiusLaw(kind, p=p, nu_p=0.0 if kind == "deterministic" else float(p * p))
+    sample = draw_sample(spec, law, n, p + 3 * n)
+    gamma = _population_root(build_population(spec))
+    pi = np.random.default_rng(p + n).standard_normal(p)
+    pi /= np.linalg.norm(pi)
+    nodes, weights = covariance.gauss_rule(sample, pi, 2, gamma=gamma)
+    bundle = build_scm(sample, gamma=gamma)
+    lam = bundle.eigenvalues
+    q = (bundle.eigenvectors.T @ pi) ** 2
+    assert nodes.shape == weights.shape == (2,)
+    for j in range(4):
+        want = float(q @ lam ** j)
+        assert abs(float(weights @ nodes ** j) - want) <= 1e-12 * abs(want), j
+    assert np.all(weights > 0)
+    slack = 1e-12 * lam[-1]
+    assert lam[0] - slack <= nodes.min() and nodes.max() <= lam[-1] + slack
+
+
+def test_gauss_rule_breakdown_gives_the_one_node_rule():
+    # with n = 1, S is rank one with eigenvector pi = G x_1 / |G x_1|, so the
+    # Lanczos run stops after one step (beta_1 = 0) with the exact rule
+    spec = _GAUSS_POPULATIONS["toeplitz_spike"](12)
+    sample = draw_sample(spec, RadiusLaw("two-point", p=12, nu_p=144.0), 1, 5)
+    gamma = _population_root(build_population(spec))
+    pi = gamma @ sample.data[:, 0]
+    pi /= np.linalg.norm(pi)
+    nodes, weights = covariance.gauss_rule(sample, pi, 2, gamma=gamma)
+    top = build_scm(sample, gamma=gamma, vectors=False).eigenvalues[-1]
+    assert nodes.shape == weights.shape == (1,)
+    assert weights[0] == 1.0
+    assert abs(nodes[0] - top) <= 1e-12 * top
+    row = _vesd_row(sample, pi, gamma, {"x": 0.0, "x2": 0.0})
+    assert np.all(np.isfinite(row))
+    assert row[2] == 0.0
+    assert abs(row[0] - np.sqrt(12) * top) <= 1e-12 * np.sqrt(12) * top
+
+
+def test_gauss_rule_validations():
+    sample = _identity_sample(10, 20, seed=3)
+    gamma = np.eye(10)
+    pi = np.eye(10)[0]
+    with pytest.raises(DomainError, match="unit norm"):
+        covariance.gauss_rule(sample, 2 * pi, 2, gamma=gamma)
+    with pytest.raises(DomainError, match="length"):
+        covariance.gauss_rule(sample, pi[:9], 2, gamma=gamma)
+    with pytest.raises(ConfigError, match="k >= 1"):
+        covariance.gauss_rule(sample, pi, 0, gamma=gamma)
+    # one node is the mean of the measure, pi' S pi
+    nodes, weights = covariance.gauss_rule(sample, pi, 1, gamma=gamma)
+    assert np.allclose(nodes, build_scm(sample).matrix[0, 0], rtol=1e-12, atol=0)
+    assert weights.tolist() == [1.0]
 
 
 def test_zero_matrix_resolvent():

@@ -392,6 +392,43 @@ def test_vesd_theory_pinned():
     assert theory["quad_doubling_rel_change"] < 1e-4
 
 
+def test_vesd_records_match_eigh_statistic_at_any_jobs(tmp_path):
+    # the Gauss-rule records equal the statistic read off the full
+    # eigendecomposition, and the summary is byte-identical across workers
+    from elliprmt.cli import main
+    from elliprmt.covariance import build_scm
+    from elliprmt.experiments import _population
+    from elliprmt.sampler import draw_sample, replicate_seed
+    raw = {
+        "kind": "vesd", "p": 30, "n": 60, "reps": 12, "seed": 17,
+        "radius": {"kind": "two-point", "nu_rule": "p^2"},
+        "population": {"spikes": [8.0], "bulk": "uniform", "toeplitz_rho": 0.9},
+        "pi": "uniform",
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(raw))
+    for jobs in ("1", "3"):
+        assert main(["mc", "--config", str(cfg_path), "--jobs", jobs,
+                     "--out", str(tmp_path / f"j{jobs}")]) == 0
+    assert ((tmp_path / "j1" / "summary.json").read_bytes()
+            == (tmp_path / "j3" / "summary.json").read_bytes())
+    records = np.loadtxt(tmp_path / "j1" / "records.csv", delimiter=",", skiprows=1)
+    centering = json.loads((tmp_path / "j1" / "theory.json").read_text())["centering"]
+    cfg = ExperimentConfig.from_dict(raw)
+    spec, _, law, _, gamma = _population(cfg)
+    pi = np.full(cfg.p, 1.0 / np.sqrt(cfg.p))
+    assert records.shape == (cfg.reps, 3)
+    for r in range(cfg.reps):
+        bundle = build_scm(draw_sample(spec, law, cfg.n, replicate_seed(cfg.seed, r)),
+                           gamma=gamma)
+        w = (bundle.eigenvectors.T @ pi) ** 2
+        lam = bundle.eigenvalues
+        want = np.sqrt(cfg.p) * np.array([w @ lam - centering["x"],
+                                          w @ lam ** 2 - centering["x2"],
+                                          w.sum() - 1.0])
+        assert np.max(np.abs(records[r] - want)) <= 1e-12, r
+
+
 def test_quadform_kind_z_scores():
     cfg = ExperimentConfig.from_dict({
         "kind": "quadform-oracle", "p": 10, "n": 2, "reps": 10, "seed": 10,
