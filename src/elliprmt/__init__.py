@@ -13,7 +13,7 @@ from .sampler import (EllipticalSample, PopulationSpec, build_population,
                       draw_sample, nonspiked_spectrum_measure,
                       quadform_moment_oracle, replicate_seed)
 from .covariance import (ScmBundle, bilinear_resolvent, build_scm, gauss_rule,
-                         spiked_quadform)
+                         spiked_quadform, top_eigenvalue)
 from .lsd import (InvertedLaw, LsdDerivatives, LsdSolution, derivatives,
                   find_bulk_edges, outer_support_bracket, solve_lsd,
                   stieltjes_invert)

@@ -4,24 +4,22 @@ The normalized SCM of a sample X is ``S = sqrt(p^2/m_p)/n * G X X^T G^T``
 with ``G = U0 D0^{1/2} U0^T`` the symmetric square root of the population
 covariance; a Monte Carlo run forms ``G`` once per population and hands it
 to every replicate.  Resolvent quantities are evaluated spectrally: one
-eigendecomposition per sample, reused across evaluation points.  The
-``vesd`` replicates read only the spectral measure of pi under S, so they
-take its Gauss rule from a few Lanczos steps (:func:`gauss_rule`), which
-applies S through products with G and X and forms neither S nor a
-decomposition of it.
+eigendecomposition per sample, reused across evaluation points.
 
-Eigenvalue-only decompositions call LAPACK's ``dsyevd`` of the OpenBLAS that
-numpy loaded, through ``ctypes``, which releases the interpreter lock for
-the call, so worker threads computing them overlap.  numpy's own
-``eigvalsh`` holds the lock for the whole call.  The routine, job and
-workspace are the ones ``np.linalg.eigvalsh`` uses, so the eigenvalues are
-the same bit for bit; without that symbol ``np.linalg.eigvalsh`` runs.
+Replicates that read one spectral quantity run a Lanczos recurrence
+(:func:`_lanczos`) instead of a decomposition.  The ``vesd`` replicates take
+the Gauss rule of the spectral measure of pi under S from a few steps
+(:func:`gauss_rule`), applying S through products with G and X, so neither
+S nor a decomposition of it is formed.  The ``spike-dist`` replicates take
+lambda_max from a run on S started at the population spike direction
+(:func:`top_eigenvalue`), and one Cholesky factorization of
+``theta (1 + delta) I - S`` certifies the value found; a run that cannot be
+certified raises instead of returning a smaller eigenvalue.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,104 +31,28 @@ __all__ = [
     "ScmBundle",
     "build_scm",
     "gauss_rule",
+    "top_eigenvalue",
     "bilinear_resolvent",
     "spiked_quadform",
 ]
 
-
-def _numpy_linalg_library():
-    """numpy's own linalg extension opened with ``ctypes``, or None.
-
-    Symbols looked up in it resolve in the library numpy loaded, not in
-    some other copy.
-    """
-    try:
-        from numpy.linalg import _umath_linalg
-        return ctypes.CDLL(_umath_linalg.__file__)
-    except (ImportError, OSError):
-        return None
-
-
-def _bind_dsyevd(lib):
-    """``dsyevd`` of the ILP64 OpenBLAS in numpy-2 wheels, or None."""
-    fn = getattr(lib, "scipy_dsyevd_64_", None) if lib is not None else None
-    if fn is not None:
-        ref, buf = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-        # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO, then
-        # the Fortran lengths of the two strings
-        fn.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ref, buf, ref, buf, buf,
-                       ref, buf, ref, ref, ctypes.c_size_t, ctypes.c_size_t]
-        fn.restype = None
-    return fn
-
-
-_NUMPY_LINALG = _numpy_linalg_library()
-_DSYEVD = _bind_dsyevd(_NUMPY_LINALG)
-
-
-def _call_dsyevd(a, w, work, iwork, lwork, liwork):
-    """Eigenvalue-only ``dsyevd`` on the lower triangle of ``a``, which it
-    overwrites; returns LAPACK's ``info``.
-
-    ``a`` is an (n, n) Fortran-ordered float64 array, ``w`` and ``work``
-    float64 arrays of at least n and ``lwork`` entries, ``iwork`` an int64
-    array of at least ``liwork`` entries (one entry each for a workspace
-    query, ``lwork = liwork = -1``).
-    """
-    n = a.shape[0]
-    info = ctypes.c_int64()
-    _DSYEVD(b"N", b"L", ctypes.c_int64(n), a.ctypes.data, ctypes.c_int64(max(n, 1)),
-            w.ctypes.data, work.ctypes.data, ctypes.c_int64(lwork),
-            iwork.ctypes.data, ctypes.c_int64(liwork), ctypes.byref(info), 1, 1)
-    return info.value
-
-
-@functools.cache
-def _dsyevd_workspace(n: int) -> tuple[int, int]:
-    """``(lwork, liwork)`` that LAPACK's workspace query returns at order n,
-    as numpy uses them."""
-    work, iwork = np.zeros(1), np.zeros(1, dtype=np.int64)
-    _call_dsyevd(np.zeros((n, n), order="F"), np.zeros(max(n, 1)), work, iwork,
-                 -1, -1)
-    return int(work[0]), int(iwork[0])
-
-
-def _eigvalsh(s: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric matrix s from its lower
-    triangle, equal to ``np.linalg.eigvalsh(s)`` bit for bit.
-
-    Raises ``np.linalg.LinAlgError`` when LAPACK does not converge.
-    """
-    a = np.asarray(s)
-    if (_DSYEVD is None or a.dtype != np.float64 or a.ndim != 2
-            or a.shape[0] != a.shape[1]):
-        return np.linalg.eigvalsh(s)
-    a = np.array(a, order="F")         # dsyevd overwrites its input
-    n = a.shape[0]
-    lwork, liwork = _dsyevd_workspace(n)
-    w = np.empty(n)
-    if _call_dsyevd(a, w, np.empty(lwork), np.empty(liwork, dtype=np.int64),
-                    lwork, liwork):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return w
+# top_eigenvalue returns theta only once theta (1 + delta) I - S is positive
+# definite, so lambda_max lies in [theta, theta (1 + delta)]
+_CERTIFIED_RTOL = 1e-10
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class ScmBundle:
-    """Normalized SCM with its eigendecomposition (ascending eigenvalues).
-
-    ``eigenvectors`` is None when the bundle was built with
-    ``vectors=False``; reading them then raises :class:`ConfigError`.
-    """
+    """Normalized SCM with its eigendecomposition (ascending eigenvalues)."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    eigenvectors: np.ndarray
 
     def __post_init__(self):
         for arr in (self.matrix, self.eigenvalues, self.eigenvectors):
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
 
     @property
     def p(self) -> int:
@@ -138,14 +60,7 @@ class ScmBundle:
 
     def top_eigenvectors(self, k: int) -> np.ndarray:
         """Columns: eigenvectors of the k largest eigenvalues, descending."""
-        return _vectors(self)[:, ::-1][:, :k]
-
-
-def _vectors(bundle: ScmBundle) -> np.ndarray:
-    if bundle.eigenvectors is None:
-        raise ConfigError("this SCM bundle was built without eigenvectors "
-                          "(build_scm(..., vectors=False))")
-    return bundle.eigenvectors
+        return self.eigenvectors[:, ::-1][:, :k]
 
 
 def _population_root(population: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -158,31 +73,69 @@ def _population_root(population: tuple[np.ndarray, np.ndarray, np.ndarray]
     return (u0 * np.sqrt(d0)) @ u0.T
 
 
+def _scm_matrix(sample: EllipticalSample, gamma: np.ndarray) -> np.ndarray:
+    """The normalized SCM of the sample, given ``gamma = G``."""
+    scale = np.sqrt(sample.p ** 2 / sample.law.m_p)
+    gx = gamma @ sample.data
+    # gx @ gx.T runs as a rank-k update (syrk), which fills one triangle and
+    # mirrors it, so S is symmetric bit for bit
+    return (scale / sample.n) * (gx @ gx.T)
+
+
 def build_scm(sample: EllipticalSample,
               population: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-              *, vectors: bool = True, gamma: np.ndarray | None = None) -> ScmBundle:
+              *, gamma: np.ndarray | None = None) -> ScmBundle:
     """Form and eigendecompose the normalized SCM of one sample.
 
     ``population`` may carry a precomputed ``(Sigma, U0, D0)`` triple to
     avoid re-realizing the population for every replicate, and ``gamma`` its
-    :func:`_population_root`, which is then not formed again.  With
-    ``vectors=False`` only the eigenvalues are computed (``eigvalsh``), for
-    statistics that never read an eigenvector.
+    :func:`_population_root`, which is then not formed again.
     """
     if gamma is None:
         if population is None:
             population = build_population(sample.population)
         gamma = _population_root(population)
-    scale = np.sqrt(sample.p ** 2 / sample.law.m_p)
-    gx = gamma @ sample.data
-    # gx @ gx.T runs as a rank-k update (syrk), which fills one triangle and
-    # mirrors it, so S is symmetric bit for bit
-    s = (scale / sample.n) * (gx @ gx.T)
-    if vectors:
-        evals, evecs = np.linalg.eigh(s)
-    else:
-        evals, evecs = _eigvalsh(s), None
+    s = _scm_matrix(sample, gamma)
+    evals, evecs = np.linalg.eigh(s)
     return ScmBundle(matrix=s, eigenvalues=evals, eigenvectors=evecs)
+
+
+def _lanczos(apply, start: np.ndarray, steps: int):
+    """Lanczos recurrence of the symmetric operator ``apply`` from the unit
+    vector ``start``, with full reorthogonalization, for at most ``steps``
+    steps.
+
+    After step j it yields ``(alpha, beta, b)``: the diagonal and
+    off-diagonal of the j-by-j tridiagonal T_j, and the norm b = beta_j that
+    couples T_j to the next Lanczos vector.  b is 0.0 where the run ends:
+    when the Krylov space closes (b below sqrt(eps) |S v_j|), and at step
+    ``steps``, where it is not formed.  The lists grow in place.
+    """
+    basis = np.empty((steps, start.size))   # the Lanczos vectors, as rows
+    basis[0] = start
+    alpha, beta = [], []
+    for j in range(steps):
+        v = basis[j]
+        sv = apply(v)
+        alpha.append(float(v @ sv))
+        if j == steps - 1:
+            break
+        q = basis[:j + 1]
+        r = sv - (q @ sv) @ q
+        r -= (q @ r) @ q                   # a second pass restores orthogonality
+        b = math.sqrt(r @ r)
+        # the moments (T^m)_11 hold each beta only squared, so a beta below
+        # sqrt(eps) |S v| moves them at rounding level: the space is invariant
+        if b <= _SQRT_EPS * math.sqrt(sv @ sv):
+            break
+        yield alpha, beta, b
+        beta.append(b)
+        basis[j + 1] = r / b
+    yield alpha, beta, 0.0
+
+
+def _tridiagonal_eigh(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
+    return np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
 
 
 def gauss_rule(sample: EllipticalSample, pi: np.ndarray, k: int, *,
@@ -190,44 +143,71 @@ def gauss_rule(sample: EllipticalSample, pi: np.ndarray, k: int, *,
     """``(nodes, weights)`` of the k-node Gauss rule of the spectral measure
     ``sum_i (u_i^T pi)^2 delta_{lambda_i}`` of pi under the normalized SCM.
 
-    k Lanczos steps from pi, with full reorthogonalization, give a k-by-k
-    tridiagonal T; the nodes are its eigenvalues and the weights the squared
-    first components of its eigenvectors (Golub-Welsch).  The rule integrates
+    k Lanczos steps from pi (:func:`_lanczos`) give a k-by-k tridiagonal T;
+    the nodes are its eigenvalues and the weights the squared first
+    components of its eigenvectors (Golub-Welsch).  The rule integrates
     every polynomial of degree up to 2k - 1 exactly.  Each product with S is
     applied as ``scale * G (X (X^T (G v)))`` with ``gamma = G``, so neither S
     nor G X nor any p-by-p decomposition is formed.  When the Krylov space of
     pi closes early (pi an eigenvector of S, say), the rule has fewer nodes
     and is exact for every polynomial.
     """
-    pi = _unit_vector(pi, "pi")
-    if pi.size != sample.p:
-        raise DomainError(f"pi has length {pi.size}, expected {sample.p}")
+    pi = _unit_vector(pi, "pi", sample.p)
     if k < 1:
         raise ConfigError(f"a Gauss rule needs k >= 1 nodes, got {k}")
     x = sample.data
     scale = np.sqrt(sample.p ** 2 / sample.law.m_p) / sample.n
-    basis = np.empty((k, sample.p))    # the Lanczos vectors, as rows
-    basis[0] = pi
-    alpha, beta = [], []
-    for j in range(k):
-        v = basis[j]
-        sv = scale * (gamma @ (x @ (x.T @ (gamma @ v))))
-        alpha.append(float(v @ sv))
-        if j == k - 1:
-            break
-        q = basis[:j + 1]
-        r = sv - (q @ sv) @ q
-        r -= (q @ r) @ q                   # a second pass restores orthogonality
-        b = float(np.linalg.norm(r))
-        # the moments (T^m)_11 hold each beta only squared, so a beta below
-        # sqrt(eps) |S v| moves them at rounding level: the space is invariant
-        if b <= np.sqrt(np.finfo(float).eps) * np.linalg.norm(sv):
-            break
-        beta.append(b)
-        basis[j + 1] = r / b
-    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    nodes, vecs = np.linalg.eigh(t)
+    for alpha, beta, _ in _lanczos(
+            lambda v: scale * (gamma @ (x @ (x.T @ (gamma @ v)))), pi, k):
+        pass
+    nodes, vecs = _tridiagonal_eigh(alpha, beta)
     return nodes, vecs[0] ** 2
+
+
+def top_eigenvalue(sample: EllipticalSample, start: np.ndarray, *,
+                   gamma: np.ndarray) -> float:
+    """Largest eigenvalue of the normalized SCM, certified.
+
+    S is formed as :func:`build_scm` forms it, and a Lanczos run on S from
+    the unit vector ``start`` (:func:`_lanczos`) yields the top Ritz value
+    theta of T_j.  On a geometric schedule of step counts j, and where the
+    run ends, the run checks the residual bound ``beta_j |s_j|`` of the top
+    Ritz pair (s its eigenvector of T_j); once the bound is at most
+    ``delta theta``, with ``delta = _CERTIFIED_RTOL``, a Cholesky
+    factorization of ``theta (1 + delta) I - S`` is tried.  Every Ritz value
+    is at most lambda_max, so when the factorization succeeds lambda_max
+    lies in ``[theta, theta (1 + delta)]`` and theta is returned.  When the
+    Krylov space closes, or reaches dimension p, without that certificate
+    (``start`` orthogonal to the top eigenvector, say), the run raises
+    :class:`ArithmeticError` rather than return a smaller eigenvalue.
+    """
+    start = _unit_vector(start, "start", sample.p)
+    s = _scm_matrix(sample, gamma)
+    check_at = 8
+    for alpha, beta, b in _lanczos(lambda v: s @ v, start, sample.p):
+        j = len(alpha)
+        if b > 0.0 and j < check_at:
+            continue
+        check_at = j + j // 2
+        ritz, vecs = _tridiagonal_eigh(alpha, beta)
+        theta = float(ritz[-1])
+        if b * abs(vecs[-1, -1]) <= _CERTIFIED_RTOL * theta and _certified(s, theta):
+            return theta
+    raise ArithmeticError(
+        f"Lanczos run from start closed at dimension {len(alpha)} of "
+        f"{sample.p} without certifying its top Ritz value {theta!r}")
+
+
+def _certified(s: np.ndarray, theta: float) -> bool:
+    """Whether ``theta (1 + delta) I - S`` is positive definite, by
+    Cholesky."""
+    a = -s
+    a.flat[::s.shape[0] + 1] += theta * (1.0 + _CERTIFIED_RTOL)
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def bilinear_resolvent(bundle: ScmBundle, pi1: np.ndarray, pi2: np.ndarray,
@@ -238,17 +218,14 @@ def bilinear_resolvent(bundle: ScmBundle, pi1: np.ndarray, pi2: np.ndarray,
     raises :class:`PoleError`.
     """
     z = complex(z)
-    pi1, pi2 = _unit_vector(pi1, "pi1"), _unit_vector(pi2, "pi2")
-    for name, v in (("pi1", pi1), ("pi2", pi2)):
-        if v.size != bundle.p:
-            raise DomainError(f"{name} has length {v.size}, expected {bundle.p}")
+    pi1 = _unit_vector(pi1, "pi1", bundle.p)
+    pi2 = _unit_vector(pi2, "pi2", bundle.p)
     if z.imag == 0.0:
         gap = float(np.min(np.abs(bundle.eigenvalues - z.real)))
         if gap < 1e-12 * max(1.0, float(np.max(np.abs(bundle.eigenvalues)))):
             raise PoleError(f"z={z.real} collides with the spectrum (gap {gap:.3e})")
-    evecs = _vectors(bundle)
-    q1 = evecs.T @ pi1
-    q2 = evecs.T @ pi2
+    q1 = bundle.eigenvectors.T @ pi1
+    q2 = bundle.eigenvectors.T @ pi2
     return complex(np.sum(q1 * q2 / (bundle.eigenvalues - z)))
 
 
@@ -271,11 +248,12 @@ def spiked_quadform(sample: EllipticalSample, z: float,
     w = (np.sqrt(d0[k:])[:, None]) * (u0[:, k:].T @ y)  # Lambda_P^{1/2} U2^T Y
     t = y.T @ u0[:, :k]                # n x K
     core = z * np.eye(w.shape[0]) - w @ w.T
-    core_evals = _eigvalsh(core)
-    if core_evals.min() <= 0:
-        raise PoleError(
-            f"z={z} is not above the non-spiked spectrum "
-            f"(min shift {core_evals.min():.3e})")
+    try:
+        np.linalg.cholesky(core)
+    except np.linalg.LinAlgError:
+        raise PoleError(f"z={z} is not above the non-spiked spectrum "
+                        "(z I - Lambda_P^{1/2} U2^T Y Y^T U2 Lambda_P^{1/2} "
+                        "is not positive definite)") from None
     r = w @ t                          # (p-K) x K
     inner = t.T @ t + r.T @ np.linalg.solve(core, r)
     return inner / z

@@ -56,10 +56,12 @@ class SubcriticalSpikeError(ElliprmtError):
         self.threshold = threshold
 
 
-def _unit_vector(v, name: str = "pi") -> np.ndarray:
+def _unit_vector(v, name: str = "pi", p: int | None = None) -> np.ndarray:
     """v as a flat float64 array; :class:`DomainError` unless its norm is 1
-    within 1e-10."""
+    within 1e-10 and, when p is given, it has p entries."""
     v = np.asarray(v, dtype=np.float64).ravel()
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise DomainError(f"{name} must have unit norm")
+    if p is not None and v.size != p:
+        raise DomainError(f"{name} has length {v.size}, expected {p}")
     return v

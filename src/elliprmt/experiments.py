@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import (_NUMPY_LINALG, _population_root, build_scm,
-                         bilinear_resolvent, gauss_rule, spiked_quadform)
+from .covariance import (_population_root, bilinear_resolvent, build_scm,
+                         gauss_rule, spiked_quadform, top_eigenvalue)
 from .errors import ConfigError
 from .kernels import (contour_moment, cov_m, cov_m_diagonal, default_contour,
                       deterministic_equivalent, eigvec_stat_cov)
@@ -297,15 +297,27 @@ def _jsonable(obj):
     return obj
 
 
+def _numpy_linalg_library():
+    """numpy's own linalg extension opened with ``ctypes``, or None.
+
+    Symbols looked up in it resolve in the library numpy loaded, not in
+    some other copy.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+        return ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+
+
 def _load_openblas():
     """``(get, set)`` thread-count functions of the OpenBLAS behind
     ``numpy.linalg``, or None when numpy uses another BLAS.
 
-    The symbols are looked up through numpy's own linalg extension, which
-    ``covariance`` opened once, so they resolve in the library numpy loaded,
-    not in some other copy.
+    The symbols are looked up through numpy's own linalg extension
+    (:func:`_numpy_linalg_library`).
     """
-    lib = _NUMPY_LINALG
+    lib = _numpy_linalg_library()
     if lib is None:
         return None
     for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
@@ -465,7 +477,7 @@ def run_spike_dist(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     sd_lambda = theta * np.sqrt(sdsq / cfg.n)
 
     def statistic(sample):
-        return [build_scm(sample, vectors=False, gamma=gamma).eigenvalues[-1]]
+        return [top_eigenvalue(sample, pop[1][:, 0], gamma=gamma)]
 
     columns = ["lambda_1"]
     records, failures = _replicates(cfg, jobs, columns, statistic, spec, law)

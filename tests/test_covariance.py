@@ -1,21 +1,19 @@
 from __future__ import annotations
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliprmt import covariance
-from elliprmt.covariance import (ScmBundle, _eigvalsh, _population_root,
-                                 bilinear_resolvent, build_scm, spiked_quadform)
+from elliprmt.covariance import (ScmBundle, _population_root, bilinear_resolvent,
+                                 build_scm, spiked_quadform, top_eigenvalue)
 from elliprmt.errors import ConfigError, DomainError, PoleError
 from elliprmt.experiments import _vesd_row
 from elliprmt.lsd import solve_lsd
-from elliprmt.measures import DiscreteMeasure, RadiusLaw
-from elliprmt.sampler import PopulationSpec, build_population, draw_sample
+from elliprmt.measures import RADIUS_KINDS, DiscreteMeasure, RadiusLaw
+from elliprmt.sampler import (EllipticalSample, PopulationSpec, build_population,
+                              draw_sample)
 
 
 def _identity_sample(p, n, seed=0, nu=0.0, kind="deterministic"):
@@ -85,127 +83,94 @@ def test_eigenvalue_only_scm_matches_full(kind, nu, seed):
     spec = PopulationSpec(p=60, spikes=(8.0,), bulk="uniform", bulk_seed=99,
                           toeplitz_rho=0.9)
     sample = draw_sample(spec, RadiusLaw(kind, p=60, nu_p=nu), 120, seed)
-    full = build_scm(sample)
-    only = build_scm(sample, vectors=False)
-    assert only.eigenvectors is None
-    assert np.array_equal(only.matrix, full.matrix)
-    lam1, ref = only.eigenvalues[-1], full.eigenvalues[-1]
+    pop = build_population(spec)
+    lam1 = top_eigenvalue(sample, pop[1][:, 0], gamma=_population_root(pop))
+    ref = build_scm(sample).eigenvalues[-1]
     assert abs(lam1 - ref) <= 1e-12 * ref
-    assert np.all(np.diff(only.eigenvalues) >= 0)
 
 
-def _symmetric(kind, p, seed):
-    rng = np.random.default_rng(seed)
-    if kind == "zero":
-        return np.zeros((p, p))
-    if kind == "identity":
-        return np.eye(p)
-    if kind == "scm":          # rank-deficient whenever n < p
-        n = int(rng.integers(1, 2 * p + 1))
-        x = rng.standard_normal((p, n)) * rng.gamma(1.0, size=n)
-        s = x @ x.T / n
-    else:                      # an indefinite matrix with both triangles set
-        s = rng.standard_normal((p, p))
-    return 0.5 * (s + s.T)
+def _radius_law(kind, p, heavy):
+    nu = {"deterministic": 0.0, "two-point": float(p * p) if heavy else float(p),
+          "chi-square": 2.0 * p, "gamma": float(p * p) if heavy else float(p)}[kind]
+    return RadiusLaw(kind, p=p, nu_p=nu)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(kind=st.sampled_from(["scm", "sym", "zero", "identity"]),
-       p=st.integers(1, 260), seed=st.integers(0, 2 ** 32 - 1))
-def test_eigvalsh_matches_numpy(kind, p, seed):
-    s = _symmetric(kind, p, seed)
-    assert np.array_equal(_eigvalsh(s), np.linalg.eigvalsh(s))
+@given(p=st.integers(5, 80), ratio=st.floats(0.25, 4.0),
+       kind=st.sampled_from(RADIUS_KINDS), heavy=st.booleans(),
+       factor=st.sampled_from([0.9, 1.0, 1.1, 4.0]), pair=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_top_eigenvalue_matches_eigvalsh(p, ratio, kind, heavy, factor, pair, seed):
+    # a spike, or two 2 % apart, at `factor` times the detectability
+    # threshold 1 + sqrt(p/n) of a white bulk, under every radius law
+    n = max(1, round(ratio * p))
+    alpha = factor * (1.0 + np.sqrt(p / n))
+    spikes = (alpha, 0.98 * alpha) if pair else (alpha,)
+    spec = PopulationSpec(p=p, spikes=spikes, bulk=(1.0,) * (p - len(spikes)))
+    sample = draw_sample(spec, _radius_law(kind, p, heavy), n, seed)
+    pop = build_population(spec)
+    gamma = _population_root(pop)
+    lam1 = top_eigenvalue(sample, pop[1][:, 0], gamma=gamma)
+    ref = np.linalg.eigvalsh(build_scm(sample, gamma=gamma).matrix)[-1]
+    assert abs(lam1 - ref) <= 1e-12 * ref
 
 
-def test_eigvalsh_reads_the_lower_triangle_as_numpy_does():
-    a = np.random.default_rng(4).standard_normal((9, 9))
-    assert np.array_equal(_eigvalsh(a), np.linalg.eigvalsh(a))
+def _diag_321_sample():
+    # with gamma = I the SCM is X X^T / 8 = diag(3, 2, 1) exactly: the rows
+    # of X are orthogonal with squared norms 24, 16 and 8, and sqrt(p^2/m_p)
+    # is 1 for the deterministic law
+    law = RadiusLaw("deterministic", p=3, nu_p=0.0)
+    spec = PopulationSpec(p=3, spikes=(), bulk=(1.0,) * 3)
+    data = np.array([[2, 2, 2, 2, 2, 2, 0, 0],
+                     [0, 0, 0, 0, 0, 0, 4, 0],
+                     [2, -2, 0, 0, 0, 0, 0, 0]], dtype=float)
+    return EllipticalSample(data=data, radii=np.ones(8), law=law, population=spec)
 
 
-def test_eigvalsh_is_bound_where_numpy_bundles_openblas():
-    lib = covariance._NUMPY_LINALG
-    if getattr(lib, "scipy_openblas_get_num_threads64_", None) is None:
-        pytest.skip("numpy does not bundle the ILP64 scipy-openblas")
-    assert covariance._DSYEVD is not None
+def test_top_eigenvalue_raises_when_start_misses_the_top():
+    # S = diag(3, 2, 1) from e2: the Krylov space closes at span{e2}, whose
+    # Ritz value 2 fails the certificate, so the run raises instead of
+    # returning lambda_2
+    sample = _diag_321_sample()
+    assert np.array_equal(build_scm(sample, gamma=np.eye(3)).matrix,
+                          np.diag([3.0, 2.0, 1.0]))
+    with pytest.raises(ArithmeticError, match="without certifying"):
+        top_eigenvalue(sample, np.eye(3)[1], gamma=np.eye(3))
+    # from e1 it closes at once on the top eigenvalue, which certifies
+    assert top_eigenvalue(sample, np.eye(3)[0], gamma=np.eye(3)) == 3.0
+    # and from a generic start the full space certifies 3
+    start = np.ones(3) / np.sqrt(3)
+    assert abs(top_eigenvalue(sample, start, gamma=np.eye(3)) - 3.0) <= 1e-12 * 3.0
 
 
-def _outcome(fn, a):
-    try:
-        return fn(a)
-    except np.linalg.LinAlgError:
-        return "LinAlgError"
-
-
-@pytest.mark.parametrize("p", [3, 10, 200])
-def test_eigvalsh_error_parity(p):
-    nan = np.full((p, p), np.nan)
-    assert _outcome(_eigvalsh, nan) == _outcome(np.linalg.eigvalsh, nan) == "LinAlgError"
-    # an inf entry gives NaN eigenvalues, or at larger p no convergence:
-    # either way the two paths agree
-    inf = np.eye(p)
-    inf[1, 2] = inf[2, 1] = np.inf
-    ours, ref = _outcome(_eigvalsh, inf), _outcome(np.linalg.eigvalsh, inf)
-    if p <= 10:
-        assert np.isnan(ref).all()
-    if isinstance(ref, str):
-        assert ours == ref
-    else:
-        assert np.array_equal(ours, ref, equal_nan=True)
-
-
-def test_eigvalsh_concurrent_threads_match_serial():
-    """Four threads decomposing distinct matrices at once, with the
-    workspace query raced too, get exactly the one-thread results."""
-    mats = [[_symmetric("scm", 40 + 17 * t + i % 5, 1000 * t + i) for i in range(50)]
-            for t in range(4)]
-    want = [[np.linalg.eigvalsh(m) for m in row] for row in mats]
-    got = [None] * 4
-
-    def work(t):
-        got[t] = [_eigvalsh(m) for m in mats[t]]
-
-    covariance._dsyevd_workspace.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    for row_got, row_want in zip(got, want):
-        assert len(row_got) == 50
-        assert all(np.array_equal(a, b) for a, b in zip(row_got, row_want))
-
-
-def test_eigvalsh_fallback_without_binding(monkeypatch):
-    mats = [_symmetric("scm", p, p) for p in (1, 7, 120)]
-    bound = [_eigvalsh(m) for m in mats]
-    monkeypatch.setattr(covariance, "_DSYEVD", None)
-    for m, b in zip(mats, bound):
-        out = _eigvalsh(m)
-        assert np.array_equal(out, np.linalg.eigvalsh(m))
-        assert np.array_equal(out, b)
+def test_top_eigenvalue_validations():
+    sample = _identity_sample(10, 20, seed=3)
+    e1 = np.eye(10)[0]
+    with pytest.raises(DomainError, match="unit norm"):
+        top_eigenvalue(sample, 2 * e1, gamma=np.eye(10))
+    with pytest.raises(DomainError, match="length"):
+        top_eigenvalue(sample, e1[:9], gamma=np.eye(10))
 
 
 @pytest.mark.parametrize("vectors", [True, False])
 def test_build_scm_with_precomputed_root(vectors):
+    # the root formed once per population gives the sample's own SCM: its
+    # eigenpairs through build_scm, and its top eigenvalue (read without
+    # vectors) through top_eigenvalue
     sample, spec = _spiked_sample(40, 30, seed=6)
     pop = build_population(spec)
     gamma = _population_root(pop)
-    own = build_scm(sample, vectors=vectors)
-    given_pop = build_scm(sample, population=pop, vectors=vectors)
-    given_root = build_scm(sample, vectors=vectors, gamma=gamma)
+    own = build_scm(sample)
+    if not vectors:
+        lam1 = top_eigenvalue(sample, pop[1][:, 0], gamma=gamma)
+        assert abs(lam1 - own.eigenvalues[-1]) <= 1e-12 * own.eigenvalues[-1]
+        return
+    given_pop = build_scm(sample, population=pop)
+    given_root = build_scm(sample, gamma=gamma)
     for other in (given_pop, given_root):
         assert np.array_equal(other.matrix, own.matrix)
         assert np.array_equal(other.eigenvalues, own.eigenvalues)
-        if vectors:
-            assert np.array_equal(other.eigenvectors, own.eigenvectors)
-        else:
-            assert other.eigenvectors is None
+        assert np.array_equal(other.eigenvectors, own.eigenvectors)
 
 
 @pytest.mark.parametrize("p,n", [(200, 400), (50, 20), (3, 7), (300, 100)])
@@ -216,14 +181,12 @@ def test_scm_is_exactly_symmetric(p, n):
                           toeplitz_rho=0.9)
     sample = draw_sample(spec, RadiusLaw("two-point", p=p, nu_p=float(p)), n, p + n)
     full = build_scm(sample)
-    only = build_scm(sample, vectors=False)
     s = full.matrix
     assert np.array_equal(s, s.T)
     sym = 0.5 * (s + s.T)
     evals, evecs = np.linalg.eigh(sym)
     assert np.array_equal(full.eigenvalues, evals)
     assert np.array_equal(full.eigenvectors, evecs)
-    assert np.array_equal(only.eigenvalues, _eigvalsh(sym))
 
 
 def test_negative_population_eigenvalue_raises():
@@ -237,18 +200,16 @@ def test_negative_population_eigenvalue_raises():
 
 
 def test_eigenvalue_only_scm_has_no_vectors():
+    # the eigenvalue-only path returns lambda_max alone, as a float
     sample = _identity_sample(10, 20, seed=3)
-    bundle = build_scm(sample, vectors=False)
-    pi = np.eye(10)[0]
-    with pytest.raises(ConfigError, match="without eigenvectors"):
-        bundle.top_eigenvectors(1)
-    with pytest.raises(ConfigError, match="without eigenvectors"):
-        bilinear_resolvent(bundle, pi, pi, 1j)
-    # a bundle assembled by hand may also omit them, and stays read-only
-    hand = ScmBundle(matrix=np.eye(3), eigenvalues=np.ones(3), eigenvectors=None)
+    lam1 = top_eigenvalue(sample, np.eye(10)[0], gamma=np.eye(10))
+    assert type(lam1) is float
+    ref = build_scm(sample).eigenvalues[-1]
+    assert abs(lam1 - ref) <= 1e-12 * ref
+    # a bundle assembled by hand stays read-only
+    hand = ScmBundle(matrix=np.eye(3), eigenvalues=np.ones(3), eigenvectors=np.eye(3))
     assert not hand.eigenvalues.flags.writeable
-    with pytest.raises(ConfigError):
-        hand.top_eigenvectors(1)
+    assert not hand.eigenvectors.flags.writeable
 
 
 _GAUSS_POPULATIONS = {
@@ -292,7 +253,7 @@ def test_gauss_rule_breakdown_gives_the_one_node_rule():
     pi = gamma @ sample.data[:, 0]
     pi /= np.linalg.norm(pi)
     nodes, weights = covariance.gauss_rule(sample, pi, 2, gamma=gamma)
-    top = build_scm(sample, gamma=gamma, vectors=False).eigenvalues[-1]
+    top = build_scm(sample, gamma=gamma).eigenvalues[-1]
     assert nodes.shape == weights.shape == (1,)
     assert weights[0] == 1.0
     assert abs(nodes[0] - top) <= 1e-12 * top

@@ -429,6 +429,37 @@ def test_vesd_records_match_eigh_statistic_at_any_jobs(tmp_path):
         assert np.max(np.abs(records[r] - want)) <= 1e-12, r
 
 
+def test_spike_dist_summary_identical_at_any_jobs(tmp_path):
+    # lambda_1 comes from a certified Lanczos run per replicate: the records
+    # equal the top eigenvalue of the full decomposition, and the summary
+    # is byte-identical across workers
+    from elliprmt.cli import main
+    from elliprmt.covariance import build_scm
+    from elliprmt.experiments import _population
+    from elliprmt.sampler import draw_sample, replicate_seed
+    raw = {
+        "kind": "spike-dist", "p": 40, "n": 60, "reps": 24, "seed": 23,
+        "radius": {"kind": "gamma", "nu_rule": "p^2"},
+        "population": {"spikes": [6.0], "bulk": "uniform", "toeplitz_rho": 0.9},
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(raw))
+    for jobs in ("1", "3"):
+        assert main(["mc", "--config", str(cfg_path), "--jobs", jobs,
+                     "--out", str(tmp_path / f"j{jobs}")]) == 0
+    assert ((tmp_path / "j1" / "summary.json").read_bytes()
+            == (tmp_path / "j3" / "summary.json").read_bytes())
+    summary = json.loads((tmp_path / "j1" / "summary.json").read_text())
+    assert summary["failures"] == 0
+    records = np.loadtxt(tmp_path / "j1" / "records.csv", delimiter=",", skiprows=1)
+    cfg = ExperimentConfig.from_dict(raw)
+    spec, _, law, _, gamma = _population(cfg)
+    for r in range(cfg.reps):
+        ref = build_scm(draw_sample(spec, law, cfg.n, replicate_seed(cfg.seed, r)),
+                        gamma=gamma).eigenvalues[-1]
+        assert abs(records[r] - ref) <= 1e-12 * ref, r
+
+
 def test_quadform_kind_z_scores():
     cfg = ExperimentConfig.from_dict({
         "kind": "quadform-oracle", "p": 10, "n": 2, "reps": 10, "seed": 10,
