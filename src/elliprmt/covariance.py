@@ -3,24 +3,24 @@
 The normalized SCM of a sample X is ``S = sqrt(p^2/m_p)/n * G X X^T G^T``
 with ``G = U0 D0^{1/2} U0^T`` the symmetric square root of the population
 covariance; a Monte Carlo run forms ``G`` once per population and hands it
-to every replicate.  Resolvent quantities are evaluated spectrally: one
-eigendecomposition per sample, reused across evaluation points.
+to every replicate.  :func:`build_scm` is the one function that forms S.
+Each replicate reads only what its statistic needs, and only
+``eigvec-overlap``, which reads eigenvectors, decomposes S:
 
-Replicates that read one spectral quantity run a Lanczos recurrence
-(:func:`_lanczos`) instead of a decomposition.  The ``vesd`` replicates take
-the Gauss rule of the spectral measure of pi under S from a few steps
-(:func:`gauss_rule`), applying S through products with G and X, so neither
-S nor a decomposition of it is formed.  The ``spike-dist`` replicates take
-lambda_max from a run on S started at the population spike direction
-(:func:`top_eigenvalue`), and one Cholesky factorization of
-``theta (1 + delta) I - S`` certifies the value found; a run that cannot be
-certified raises instead of returning a smaller eigenvalue.
+- ``bilinear-*``: the forms ``pi_a^T (S - z)^{-1} pi_b`` from one LU solve
+  per z with every pi as a right-hand side (:func:`bilinear_resolvent`);
+- ``spike-dist``: lambda_max from a Lanczos run (:func:`_lanczos`) on S from
+  the population spike direction, certified by one Cholesky factorization
+  of ``theta (1 + delta) I - S`` (:func:`top_eigenvalue`); a run that cannot
+  be certified raises instead of returning a smaller eigenvalue;
+- ``vesd``: the Gauss rule of the spectral measure of pi under S from a few
+  Lanczos steps that apply S as products with G and X, so S is not formed
+  (:func:`gauss_rule`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import ConfigError, DomainError, PoleError, _unit_vector
 from .sampler import EllipticalSample, build_population
 
 __all__ = [
-    "ScmBundle",
     "build_scm",
     "gauss_rule",
     "top_eigenvalue",
@@ -40,27 +39,7 @@ __all__ = [
 # definite, so lambda_max lies in [theta, theta (1 + delta)]
 _CERTIFIED_RTOL = 1e-10
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class ScmBundle:
-    """Normalized SCM with its eigendecomposition (ascending eigenvalues)."""
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.matrix, self.eigenvalues, self.eigenvectors):
-            arr.setflags(write=False)
-
-    @property
-    def p(self) -> int:
-        return self.eigenvalues.size
-
-    def top_eigenvectors(self, k: int) -> np.ndarray:
-        """Columns: eigenvectors of the k largest eigenvalues, descending."""
-        return self.eigenvectors[:, ::-1][:, :k]
+_POLE_RTOL = 1e-12  # bilinear_resolvent's pole distance, relative to |S|_F
 
 
 def _population_root(population: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -73,31 +52,21 @@ def _population_root(population: tuple[np.ndarray, np.ndarray, np.ndarray]
     return (u0 * np.sqrt(d0)) @ u0.T
 
 
-def _scm_matrix(sample: EllipticalSample, gamma: np.ndarray) -> np.ndarray:
-    """The normalized SCM of the sample, given ``gamma = G``."""
+def build_scm(sample: EllipticalSample, *,
+              gamma: np.ndarray | None = None) -> np.ndarray:
+    """The normalized SCM of one sample.
+
+    ``gamma`` may carry the population's :func:`_population_root`, formed
+    once per population; without it the root is formed from
+    ``sample.population``.
+    """
+    if gamma is None:
+        gamma = _population_root(build_population(sample.population))
     scale = np.sqrt(sample.p ** 2 / sample.law.m_p)
     gx = gamma @ sample.data
     # gx @ gx.T runs as a rank-k update (syrk), which fills one triangle and
     # mirrors it, so S is symmetric bit for bit
     return (scale / sample.n) * (gx @ gx.T)
-
-
-def build_scm(sample: EllipticalSample,
-              population: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-              *, gamma: np.ndarray | None = None) -> ScmBundle:
-    """Form and eigendecompose the normalized SCM of one sample.
-
-    ``population`` may carry a precomputed ``(Sigma, U0, D0)`` triple to
-    avoid re-realizing the population for every replicate, and ``gamma`` its
-    :func:`_population_root`, which is then not formed again.
-    """
-    if gamma is None:
-        if population is None:
-            population = build_population(sample.population)
-        gamma = _population_root(population)
-    s = _scm_matrix(sample, gamma)
-    evals, evecs = np.linalg.eigh(s)
-    return ScmBundle(matrix=s, eigenvalues=evals, eigenvectors=evecs)
 
 
 def _lanczos(apply, start: np.ndarray, steps: int):
@@ -168,7 +137,7 @@ def top_eigenvalue(sample: EllipticalSample, start: np.ndarray, *,
                    gamma: np.ndarray) -> float:
     """Largest eigenvalue of the normalized SCM, certified.
 
-    S is formed as :func:`build_scm` forms it, and a Lanczos run on S from
+    S is formed by :func:`build_scm`, and a Lanczos run on S from
     the unit vector ``start`` (:func:`_lanczos`) yields the top Ritz value
     theta of T_j.  On a geometric schedule of step counts j, and where the
     run ends, the run checks the residual bound ``beta_j |s_j|`` of the top
@@ -182,7 +151,7 @@ def top_eigenvalue(sample: EllipticalSample, start: np.ndarray, *,
     :class:`ArithmeticError` rather than return a smaller eigenvalue.
     """
     start = _unit_vector(start, "start", sample.p)
-    s = _scm_matrix(sample, gamma)
+    s = build_scm(sample, gamma=gamma)
     check_at = 8
     for alpha, beta, b in _lanczos(lambda v: s @ v, start, sample.p):
         j = len(alpha)
@@ -210,23 +179,35 @@ def _certified(s: np.ndarray, theta: float) -> bool:
     return True
 
 
-def bilinear_resolvent(bundle: ScmBundle, pi1: np.ndarray, pi2: np.ndarray,
-                       z: complex) -> complex:
-    """pi1^T (S - z)^{-1} pi2 via the stored eigendecomposition.
+def bilinear_resolvent(s: np.ndarray, pis: np.ndarray, z: complex) -> np.ndarray:
+    """The k-by-k matrix ``Pi^T (S - z I)^{-1} Pi`` for the unit columns
+    pi_1 ... pi_k of ``pis``, from one LU solve of ``(S - z I) Y = Pi``.
 
-    Unit-norm projection vectors are required; a real z inside the spectrum
-    raises :class:`PoleError`.
+    A z on an eigenvalue that some pi sees raises :class:`PoleError`: where
+    the solve finds ``S - z I`` singular, or where a column of Y is longer
+    than ``1 / (1e-12 max(1, |S|_F))``.  A column that long puts z within
+    ``1e-12 max(1, |S|_F)`` of an eigenvalue whose eigenvector its pi does
+    not miss, since ``|(S - z)^{-1} pi|`` is at most one over that distance.
     """
     z = complex(z)
-    pi1 = _unit_vector(pi1, "pi1", bundle.p)
-    pi2 = _unit_vector(pi2, "pi2", bundle.p)
-    if z.imag == 0.0:
-        gap = float(np.min(np.abs(bundle.eigenvalues - z.real)))
-        if gap < 1e-12 * max(1.0, float(np.max(np.abs(bundle.eigenvalues)))):
-            raise PoleError(f"z={z.real} collides with the spectrum (gap {gap:.3e})")
-    q1 = bundle.eigenvectors.T @ pi1
-    q2 = bundle.eigenvectors.T @ pi2
-    return complex(np.sum(q1 * q2 / (bundle.eigenvalues - z)))
+    p = s.shape[0]
+    pis = np.asarray(pis, dtype=np.float64)
+    if pis.ndim != 2:
+        raise DomainError(f"pis must be a {p}-by-k matrix of unit columns")
+    for j, pi in enumerate(pis.T):
+        _unit_vector(pi, f"pi_{j + 1}", p)
+    a = s.astype(complex)
+    a.flat[::p + 1] -= z
+    try:
+        y = np.linalg.solve(a, pis)
+    except np.linalg.LinAlgError:
+        raise PoleError(f"z={z} is an eigenvalue of S") from None
+    limit = 1.0 / (_POLE_RTOL * max(1.0, float(np.linalg.norm(s))))
+    longest = float(np.max(np.linalg.norm(y, axis=0)))
+    if longest > limit:
+        raise PoleError(f"z={z} collides with the spectrum "
+                        f"(|(S - z)^-1 pi| = {longest:.3e})")
+    return pis.T @ y
 
 
 def spiked_quadform(sample: EllipticalSample, z: float,

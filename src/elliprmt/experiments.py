@@ -201,38 +201,37 @@ def _resolve_pi(spec, p: int, u0: np.ndarray | None = None) -> np.ndarray:
 
 
 def _pi_pairs(cfg: ExperimentConfig, p: int, u0=None):
-    """Normalize the config pi field to ((pi1, pi2), (pi3, pi4)).
+    """The config pi field as a list of one or two distinct (left, right)
+    forms pi_a^T R pi_b.
 
     Accepted forms: a single vector spec ("e1", "uniform", explicit list of
     numbers) used on both sides of one form; a pair of specs [a, b] for one
-    form pi_a^T R pi_b; or two such pairs for two forms.
+    form; or two such pairs for two forms (one form when they are equal).
     """
     spec = cfg.pi
-    if isinstance(spec, str) or (isinstance(spec, (list, tuple)) and spec
-                                 and isinstance(spec[0], (int, float))):
-        v = _resolve_pi(spec, p, u0)
-        return (v, v), (v, v)
+
+    def is_vector(s):
+        return isinstance(s, str) or (isinstance(s, (list, tuple)) and s
+                                      and isinstance(s[0], (int, float)))
+
+    if is_vector(spec):
+        spec = [spec]
     if not isinstance(spec, (list, tuple)) or not spec:
         raise ConfigError("pi must be a vector spec or a list of them")
-    if all(isinstance(s, str) or (isinstance(s, (list, tuple)) and s
-                                  and isinstance(s[0], (int, float)))
-           for s in spec):
-        vecs = [_resolve_pi(s, p, u0) for s in spec]
-        if len(vecs) == 1:
-            return (vecs[0], vecs[0]), (vecs[0], vecs[0])
-        if len(vecs) == 2:
-            return (vecs[0], vecs[1]), (vecs[0], vecs[1])
-        raise ConfigError("a flat pi list must hold one or two vector specs")
+    if all(is_vector(s) for s in spec):
+        if len(spec) > 2:
+            raise ConfigError("a flat pi list must hold one or two vector specs")
+        spec = [[spec[0], spec[-1]]]
     pairs = []
     for s in spec:
         if not isinstance(s, (list, tuple)) or len(s) != 2:
             raise ConfigError("each pi entry must be a [left, right] pair")
         pairs.append((_resolve_pi(s[0], p, u0), _resolve_pi(s[1], p, u0)))
-    if len(pairs) == 1:
-        return pairs[0], pairs[0]
-    if len(pairs) == 2:
-        return pairs[0], pairs[1]
-    raise ConfigError("pi must describe one or two bilinear forms")
+    if len(pairs) > 2:
+        raise ConfigError("pi must describe one or two bilinear forms")
+    if len(pairs) == 2 and all(np.array_equal(u, v) for u, v in zip(*pairs)):
+        return pairs[:1]
+    return pairs
 
 
 @dataclass
@@ -533,8 +532,9 @@ def run_eigvec_overlap(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult
         u1 = pop[1][:, :k_spikes]
 
         def statistic(sample, gamma=gamma, u1=u1, p=p):
-            vk = build_scm(sample, gamma=gamma).top_eigenvectors(k_spikes)
-            inner = np.sum(u1 * vk, axis=0)
+            _, vecs = np.linalg.eigh(build_scm(sample, gamma=gamma))
+            # eigh sorts ascending: the top k eigenvectors, largest first
+            inner = np.sum(u1 * vecs[:, ::-1][:, :k_spikes], axis=0)
             return np.concatenate([[p], inner ** 2, np.sign(inner)])
 
         records, failures = _replicates(cfg, jobs, columns, statistic, spec, law, n=n,
@@ -563,31 +563,38 @@ def run_eigvec_overlap(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult
 # ---------------------------------------------------------------------------
 
 def _bilinear_setup(cfg: ExperimentConfig):
-    """Population square root, the one or two (left, right) pi forms, and
-    the deterministic equivalent of each form at each z point."""
+    """Population square root; the distinct pi as the columns of one matrix,
+    with an index pair (a, b) into it for each of the one or two forms
+    pi_a^T (S - z)^{-1} pi_b; and the deterministic equivalent of each form
+    at each z point."""
     if not cfg.z_points:
         raise ConfigError(f"{cfg.kind} needs z_points")
+    if len(set(cfg.z_points)) < len(cfg.z_points):
+        raise ConfigError(f"{cfg.kind} z_points must be distinct")
     spec, pop, law, h2, gamma = _population(cfg)
     h1n = DiscreteMeasure.from_values(pop[2])
-    first, second = _pi_pairs(cfg, cfg.p, pop[1])
-    forms = [first]
-    if not (np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])):
-        forms.append(second)
+    forms = _pi_pairs(cfg, cfg.p, pop[1])
+    pis, index = np.unique(np.column_stack([v for form in forms for v in form]),
+                           axis=1, return_inverse=True)
+    pairs = index.reshape(-1, 2).tolist()
     sig_eig = (pop[2], pop[1])
     deteqs = []
     for z in cfg.z_points:
         g2 = solve_lsd(cfg.c, h1n, h2, z).g2
         deteqs.append([deterministic_equivalent(z, g2, sig_eig, a, b) for a, b in forms])
-    return spec, gamma, law, h1n, h2, sig_eig, forms, deteqs
+    return spec, gamma, law, h1n, h2, sig_eig, forms, pis, pairs, deteqs
 
 
 def run_bilinear_as(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    spec, gamma, law, _, _, _, forms, deteqs = _bilinear_setup(cfg)
-    pi1, pi2 = forms[0]
+    spec, gamma, law, _, _, _, forms, pis, pairs, deteqs = _bilinear_setup(cfg)
+    if len(forms) > 1:
+        raise ConfigError("bilinear-as reads one form pi_a^T (S - z)^{-1} pi_b, "
+                          "but pi describes two")
+    (a, b), = pairs
 
     def statistic(sample):
-        bundle = build_scm(sample, gamma=gamma)
-        return [abs(bilinear_resolvent(bundle, pi1, pi2, z) - de[0])
+        s = build_scm(sample, gamma=gamma)
+        return [abs(bilinear_resolvent(s, pis, z)[a, b] - de[0])
                 for z, de in zip(cfg.z_points, deteqs)]
 
     columns = [f"abs_dev_z{i}" for i in range(len(cfg.z_points))]
@@ -604,17 +611,18 @@ def run_bilinear_as(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 
 
 def run_bilinear_clt(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    spec, gamma, law, h1n, h2, sig_eig, forms, deteqs = _bilinear_setup(cfg)
+    spec, gamma, law, h1n, h2, sig_eig, forms, pis, pairs, deteqs = _bilinear_setup(cfg)
     two_forms = len(forms) == 2
     (pi1, pi2), (pi3, pi4) = forms[0], forms[-1]
     sqrt_p = np.sqrt(cfg.p)
 
     def statistic(sample):
-        bundle = build_scm(sample, gamma=gamma)
+        s = build_scm(sample, gamma=gamma)
         out = []
         for z, des in zip(cfg.z_points, deteqs):
-            for (a, b), de in zip(forms, des):
-                m = sqrt_p * (bilinear_resolvent(bundle, a, b, z) - de)
+            r = bilinear_resolvent(s, pis, z)
+            for (a, b), de in zip(pairs, des):
+                m = sqrt_p * (r[a, b] - de)
                 out.extend([m.real, m.imag])
         return out
 
@@ -736,7 +744,10 @@ def _vesd_row(sample, pi, gamma, centering) -> list[float]:
 def run_vesd(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     spec, pop, law, h2, gamma = _population(cfg)
     h1n = DiscreteMeasure.from_values(pop[2])
-    (pi, _), _ = _pi_pairs(cfg, cfg.p, pop[1])
+    forms = _pi_pairs(cfg, cfg.p, pop[1])
+    if len(forms) > 1 or not np.array_equal(*forms[0]):
+        raise ConfigError("vesd reads one projection vector, but pi describes more")
+    pi = forms[0][0]
     sig_eig = (pop[2], pop[1])
     # The outer bracket of the finite-p law, spike atoms included, holds the
     # images of the spikes as well as the bulk; locating the spikes with

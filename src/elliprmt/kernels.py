@@ -80,8 +80,16 @@ def _solved(c, h1, h2, z):
 
 
 def _solved_pair(c, h1, h2, z1, z2):
-    """:func:`_solved` at z1 and z2 from one solve: real points share one branch geometry."""
-    return list(zip(*(map(complex, v) for v in _solved(c, h1, h2, np.array([z1, z2])))))
+    """:func:`_solved` at z1 and z2 from one solve: real points share one
+    branch geometry.  Numerically coincident points, where the pair kernels
+    divide by zero, raise :class:`DomainError`."""
+    a, b = zip(*(map(complex, v) for v in _solved(c, h1, h2, np.array([z1, z2]))))
+    if abs(a[1] - b[1]) < _COINCIDENT_TOL or abs(a[2] - b[2]) < _COINCIDENT_TOL:
+        raise DomainError(
+            "evaluation points are numerically coincident "
+            "(|g1(z1)-g1(z2)| or |g2(z1)-g2(z2)| < 1e-12); "
+            "use kernels_diagonal or cov_m_diagonal")
+    return a, b
 
 
 def _pair_kernels(c, a, b):
@@ -122,13 +130,9 @@ def kernels(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
             z1: complex, z2: complex) -> KernelValues:
     """Evaluate (h1, h2, d, w) at an ordered pair of distinct points."""
     a, b = _solved_pair(c, h1, h2, z1, z2)
-    dg2 = a[2] - b[2]
-    if abs(a[1] - b[1]) < _COINCIDENT_TOL or abs(dg2) < _COINCIDENT_TOL:
-        raise DomainError(
-            "evaluation points are numerically coincident "
-            "(|g1(z1)-g1(z2)| or |g2(z1)-g2(z2)| < 1e-12); use kernels_diagonal")
     h1v, h2v, d = _pair_kernels(c, a, b)
-    return KernelValues(z1=a[0], z2=b[0], h1=h1v, h2=h2v, d=d, w=a[0] * b[0] * dg2)
+    return KernelValues(z1=a[0], z2=b[0], h1=h1v, h2=h2v, d=d,
+                        w=a[0] * b[0] * (a[2] - b[2]))
 
 
 def kernels_diagonal(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure,
@@ -198,7 +202,8 @@ def cov_m(c: float, h1: DiscreteMeasure, h2: DiscreteMeasure, sigma,
     """Limit covariance of two centered bilinear forms at distinct points.
 
     Cov = h1 (r14 r23 + r13 r24) + h2 r12(z1) r34(z2), with r-functionals
-    evaluated at finite n from the supplied Sigma.
+    evaluated at finite n from the supplied Sigma.  Numerically coincident
+    points raise :class:`DomainError`; :func:`cov_m_diagonal` takes them.
     """
     if len(pis) != 4:
         raise ConfigError("cov_m needs exactly four projection vectors")

@@ -206,6 +206,40 @@ def test_mc_unknown_config_key(tmp_path, capsys):
     assert "extra_knob" in err
 
 
+@pytest.mark.parametrize("kind,pi,z_points", [
+    ("vesd", ["e1", "e2"], []),
+    ("bilinear-as", [["e1", "e1"], ["e2", "e3"]], [[1.0, 1.0]]),
+])
+def test_mc_refuses_a_pi_the_kind_does_not_read(tmp_path, capsys, kind, pi, z_points):
+    # vesd reads one vector and bilinear-as one form; a pi that describes
+    # more is an error, not silently cut to its first part
+    cfg = _mc_config(tmp_path, kind=kind, p=12, n=24, reps=3, pi=pi, z_points=z_points,
+                     population={"spikes": [], "bulk": "ones"})
+    code, _, err = run_cli(capsys, "mc", "--config", str(cfg), "--out",
+                           str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith(f"error: {kind} reads one")
+    assert not (tmp_path / "out").exists()
+
+
+def test_mc_repeated_z_points_fail_before_any_replicate(tmp_path, capsys, monkeypatch):
+    # two equal z points would reach cov_m at coincident points; the config
+    # is refused before a replicate runs
+    from elliprmt import experiments
+
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("replicates ran")
+
+    monkeypatch.setattr(experiments, "_run_replicates", no_replicates)
+    cfg = _mc_config(tmp_path, kind="bilinear-clt", p=12, n=24, reps=3, pi="e1",
+                     z_points=[[1.5, 1.0], [1.5, 1.0]],
+                     population={"spikes": [], "bulk": "ones"})
+    code, _, err = run_cli(capsys, "mc", "--config", str(cfg), "--out",
+                           str(tmp_path / "out"))
+    assert code == 1
+    assert err == "error: bilinear-clt z_points must be distinct\n"
+
+
 def test_mc_seed_env_fallback(tmp_path, capsys, monkeypatch):
     raw = json.loads(_mc_config(tmp_path).read_text())
     del raw["seed"]

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliprmt import covariance
-from elliprmt.covariance import (ScmBundle, _population_root, bilinear_resolvent,
-                                 build_scm, spiked_quadform, top_eigenvalue)
+from elliprmt.covariance import (_population_root, bilinear_resolvent, build_scm,
+                                 spiked_quadform, top_eigenvalue)
 from elliprmt.errors import ConfigError, DomainError, PoleError
 from elliprmt.experiments import _vesd_row
 from elliprmt.lsd import solve_lsd
@@ -31,46 +31,45 @@ def _spiked_sample(p, n, spikes=(8.0,), seed=0):
 
 def test_scm_reconstruction_and_normalization():
     sample = _identity_sample(20, 40, seed=1, nu=20.0, kind="two-point")
-    bundle = build_scm(sample)
+    s = build_scm(sample)
     scale = np.sqrt(20 ** 2 / sample.law.m_p)
     direct = scale / 40 * sample.data @ sample.data.T
-    rel = np.linalg.norm(bundle.matrix - direct) / np.linalg.norm(direct)
+    rel = np.linalg.norm(s - direct) / np.linalg.norm(direct)
     assert rel < 1e-9
-    v = bundle.eigenvectors
+    evals, v = np.linalg.eigh(s)
     assert np.linalg.norm(v.T @ v - np.eye(20)) < 1e-9
-    assert np.all(np.diff(bundle.eigenvalues) >= 0)
+    assert np.all(np.diff(evals) >= 0)
 
 
 def test_rank_one_scm():
     sample = _identity_sample(12, 1, seed=2)
-    bundle = build_scm(sample)
-    assert np.sum(np.abs(bundle.eigenvalues) < 1e-10) == 11
+    evals, _ = np.linalg.eigh(build_scm(sample))
+    assert np.sum(np.abs(evals) < 1e-10) == 11
 
 
 def test_mp_edge_at_square_aspect():
     sample = _identity_sample(400, 400, seed=3)
-    bundle = build_scm(sample)
-    assert bundle.eigenvalues[-1] < 4.5  # (1+sqrt(1))^2 = 4 plus finite-p slack
+    evals, _ = np.linalg.eigh(build_scm(sample))
+    assert evals[-1] < 4.5  # (1+sqrt(1))^2 = 4 plus finite-p slack
 
 
 def test_spiked_scm_top_eigenvalue_near_prediction():
     # p=50, n=100 spiked model: largest eigenvalue near the mapped location
     sample, spec = _spiked_sample(50, 100, seed=4)
-    bundle = build_scm(sample)
+    evals, _ = np.linalg.eigh(build_scm(sample))
     from elliprmt.sampler import nonspiked_spectrum_measure
     from elliprmt.spikes import predict_spike
     h1n = nonspiked_spectrum_measure(spec)
     theta = predict_spike(0.5, h1n, DiscreteMeasure.point_mass(1.0), 8.0).theta
-    assert abs(bundle.eigenvalues[-1] - theta) < 4 * theta / np.sqrt(100)
+    assert abs(evals[-1] - theta) < 4 * theta / np.sqrt(100)
 
 
 def test_companion_spectrum_identity():
     sample = _identity_sample(15, 9, seed=5, nu=15.0, kind="two-point")
-    bundle = build_scm(sample)
+    ev, _ = np.linalg.eigh(build_scm(sample))
     scale = np.sqrt(15 ** 2 / sample.law.m_p)
     companion = scale / 9 * sample.data.T @ sample.data
     comp_ev = np.linalg.eigvalsh(companion)
-    ev = bundle.eigenvalues
     nonzero = ev[np.abs(ev) > 1e-10]
     comp_nonzero = comp_ev[np.abs(comp_ev) > 1e-10]
     assert nonzero.size == comp_nonzero.size
@@ -85,7 +84,7 @@ def test_eigenvalue_only_scm_matches_full(kind, nu, seed):
     sample = draw_sample(spec, RadiusLaw(kind, p=60, nu_p=nu), 120, seed)
     pop = build_population(spec)
     lam1 = top_eigenvalue(sample, pop[1][:, 0], gamma=_population_root(pop))
-    ref = build_scm(sample).eigenvalues[-1]
+    ref = np.linalg.eigh(build_scm(sample))[0][-1]
     assert abs(lam1 - ref) <= 1e-12 * ref
 
 
@@ -111,7 +110,7 @@ def test_top_eigenvalue_matches_eigvalsh(p, ratio, kind, heavy, factor, pair, se
     pop = build_population(spec)
     gamma = _population_root(pop)
     lam1 = top_eigenvalue(sample, pop[1][:, 0], gamma=gamma)
-    ref = np.linalg.eigvalsh(build_scm(sample, gamma=gamma).matrix)[-1]
+    ref = np.linalg.eigvalsh(build_scm(sample, gamma=gamma))[-1]
     assert abs(lam1 - ref) <= 1e-12 * ref
 
 
@@ -132,8 +131,7 @@ def test_top_eigenvalue_raises_when_start_misses_the_top():
     # Ritz value 2 fails the certificate, so the run raises instead of
     # returning lambda_2
     sample = _diag_321_sample()
-    assert np.array_equal(build_scm(sample, gamma=np.eye(3)).matrix,
-                          np.diag([3.0, 2.0, 1.0]))
+    assert np.array_equal(build_scm(sample, gamma=np.eye(3)), np.diag([3.0, 2.0, 1.0]))
     with pytest.raises(ArithmeticError, match="without certifying"):
         top_eigenvalue(sample, np.eye(3)[1], gamma=np.eye(3))
     # from e1 it closes at once on the top eigenvalue, which certifies
@@ -154,23 +152,23 @@ def test_top_eigenvalue_validations():
 
 @pytest.mark.parametrize("vectors", [True, False])
 def test_build_scm_with_precomputed_root(vectors):
-    # the root formed once per population gives the sample's own SCM: its
-    # eigenpairs through build_scm, and its top eigenvalue (read without
+    # the root formed once per population gives the sample's own SCM, bit
+    # for bit, so the same eigenpairs; and its top eigenvalue (read without
     # vectors) through top_eigenvalue
     sample, spec = _spiked_sample(40, 30, seed=6)
     pop = build_population(spec)
     gamma = _population_root(pop)
     own = build_scm(sample)
+    evals, evecs = np.linalg.eigh(own)
     if not vectors:
         lam1 = top_eigenvalue(sample, pop[1][:, 0], gamma=gamma)
-        assert abs(lam1 - own.eigenvalues[-1]) <= 1e-12 * own.eigenvalues[-1]
+        assert abs(lam1 - evals[-1]) <= 1e-12 * evals[-1]
         return
-    given_pop = build_scm(sample, population=pop)
     given_root = build_scm(sample, gamma=gamma)
-    for other in (given_pop, given_root):
-        assert np.array_equal(other.matrix, own.matrix)
-        assert np.array_equal(other.eigenvalues, own.eigenvalues)
-        assert np.array_equal(other.eigenvectors, own.eigenvectors)
+    assert np.array_equal(given_root, own)
+    other_evals, other_evecs = np.linalg.eigh(given_root)
+    assert np.array_equal(other_evals, evals)
+    assert np.array_equal(other_evecs, evecs)
 
 
 @pytest.mark.parametrize("p,n", [(200, 400), (50, 20), (3, 7), (300, 100)])
@@ -180,13 +178,12 @@ def test_scm_is_exactly_symmetric(p, n):
     spec = PopulationSpec(p=p, spikes=(), bulk="uniform", bulk_seed=99,
                           toeplitz_rho=0.9)
     sample = draw_sample(spec, RadiusLaw("two-point", p=p, nu_p=float(p)), n, p + n)
-    full = build_scm(sample)
-    s = full.matrix
+    s = build_scm(sample)
     assert np.array_equal(s, s.T)
-    sym = 0.5 * (s + s.T)
-    evals, evecs = np.linalg.eigh(sym)
-    assert np.array_equal(full.eigenvalues, evals)
-    assert np.array_equal(full.eigenvectors, evecs)
+    evals, evecs = np.linalg.eigh(s)
+    sym_evals, sym_evecs = np.linalg.eigh(0.5 * (s + s.T))
+    assert np.array_equal(evals, sym_evals)
+    assert np.array_equal(evecs, sym_evecs)
 
 
 def test_negative_population_eigenvalue_raises():
@@ -195,8 +192,6 @@ def test_negative_population_eigenvalue_raises():
     bad = (sigma, u0, np.concatenate([d0[:-1], [-1e-3]]))
     with pytest.raises(DomainError, match="nonnegative"):
         _population_root(bad)
-    with pytest.raises(DomainError, match="nonnegative"):
-        build_scm(sample, population=bad)
 
 
 def test_eigenvalue_only_scm_has_no_vectors():
@@ -204,12 +199,8 @@ def test_eigenvalue_only_scm_has_no_vectors():
     sample = _identity_sample(10, 20, seed=3)
     lam1 = top_eigenvalue(sample, np.eye(10)[0], gamma=np.eye(10))
     assert type(lam1) is float
-    ref = build_scm(sample).eigenvalues[-1]
+    ref = np.linalg.eigh(build_scm(sample))[0][-1]
     assert abs(lam1 - ref) <= 1e-12 * ref
-    # a bundle assembled by hand stays read-only
-    hand = ScmBundle(matrix=np.eye(3), eigenvalues=np.ones(3), eigenvectors=np.eye(3))
-    assert not hand.eigenvalues.flags.writeable
-    assert not hand.eigenvectors.flags.writeable
 
 
 _GAUSS_POPULATIONS = {
@@ -232,9 +223,8 @@ def test_gauss_rule_matches_spectral_measure(population, kind, p, n):
     pi = np.random.default_rng(p + n).standard_normal(p)
     pi /= np.linalg.norm(pi)
     nodes, weights = covariance.gauss_rule(sample, pi, 2, gamma=gamma)
-    bundle = build_scm(sample, gamma=gamma)
-    lam = bundle.eigenvalues
-    q = (bundle.eigenvectors.T @ pi) ** 2
+    lam, vecs = np.linalg.eigh(build_scm(sample, gamma=gamma))
+    q = (vecs.T @ pi) ** 2
     assert nodes.shape == weights.shape == (2,)
     for j in range(4):
         want = float(q @ lam ** j)
@@ -253,7 +243,7 @@ def test_gauss_rule_breakdown_gives_the_one_node_rule():
     pi = gamma @ sample.data[:, 0]
     pi /= np.linalg.norm(pi)
     nodes, weights = covariance.gauss_rule(sample, pi, 2, gamma=gamma)
-    top = build_scm(sample, gamma=gamma).eigenvalues[-1]
+    top = np.linalg.eigh(build_scm(sample, gamma=gamma))[0][-1]
     assert nodes.shape == weights.shape == (1,)
     assert weights[0] == 1.0
     assert abs(nodes[0] - top) <= 1e-12 * top
@@ -275,66 +265,117 @@ def test_gauss_rule_validations():
         covariance.gauss_rule(sample, pi, 0, gamma=gamma)
     # one node is the mean of the measure, pi' S pi
     nodes, weights = covariance.gauss_rule(sample, pi, 1, gamma=gamma)
-    assert np.allclose(nodes, build_scm(sample).matrix[0, 0], rtol=1e-12, atol=0)
+    assert np.allclose(nodes, build_scm(sample)[0, 0], rtol=1e-12, atol=0)
     assert weights.tolist() == [1.0]
 
 
 def test_zero_matrix_resolvent():
     p = 6
-    bundle = ScmBundle(matrix=np.zeros((p, p)), eigenvalues=np.zeros(p),
-                       eigenvectors=np.eye(p))
     pi = np.full(p, 1 / np.sqrt(p))
-    assert abs(bilinear_resolvent(bundle, pi, pi, 1j) - 1j) < 1e-14
+    r = bilinear_resolvent(np.zeros((p, p)), pi[:, None], 1j)
+    assert r.shape == (1, 1)
+    assert abs(r[0, 0] - 1j) < 1e-14
 
 
 def test_eigenvector_resolvent():
     sample = _identity_sample(10, 30, seed=6)
-    bundle = build_scm(sample)
-    v1 = bundle.eigenvectors[:, 0]
+    s = build_scm(sample)
+    evals, evecs = np.linalg.eigh(s)
+    v1 = evecs[:, :1]
     z = 0.3 + 0.2j
-    expect = 1.0 / (bundle.eigenvalues[0] - z)
-    assert abs(bilinear_resolvent(bundle, v1, v1, z) - expect) < 1e-12
+    expect = 1.0 / (evals[0] - z)
+    assert abs(bilinear_resolvent(s, v1, z)[0, 0] - expect) < 1e-12
 
 
 def test_resolvent_matches_mp_transform():
     sample = _identity_sample(400, 800, seed=7)
-    bundle = build_scm(sample)
-    pi = np.zeros(400)
+    s = build_scm(sample)
+    pi = np.zeros((400, 1))
     pi[0] = 1.0
     z = 1 + 1j
     d1 = DiscreteMeasure.point_mass(1.0)
     m = solve_lsd(0.5, d1, d1, z).m
-    assert abs(bilinear_resolvent(bundle, pi, pi, z) - m) < 0.05
+    assert abs(bilinear_resolvent(s, pi, z)[0, 0] - m) < 0.05
 
 
 def test_resolvent_validations():
     sample = _identity_sample(8, 16, seed=8)
-    bundle = build_scm(sample)
+    s = build_scm(sample)
+    e1 = np.eye(8)[:, :1]
     with pytest.raises(DomainError, match="unit norm"):
-        bilinear_resolvent(bundle, np.ones(8), np.ones(8) / np.sqrt(8), 1j)
+        bilinear_resolvent(s, np.column_stack([np.ones(8), np.ones(8) / np.sqrt(8)]), 1j)
+    with pytest.raises(DomainError, match="length"):
+        bilinear_resolvent(s, e1[:7], 1j)
+    with pytest.raises(DomainError, match="matrix"):
+        bilinear_resolvent(s, e1[:, 0], 1j)
     with pytest.raises(PoleError):
-        bilinear_resolvent(bundle, np.eye(8)[0], np.eye(8)[0],
-                           complex(bundle.eigenvalues[3]))
+        bilinear_resolvent(s, e1, complex(np.linalg.eigh(s)[0][3]))
+    # a singular S - z I is a pole too: S = 0 at z = 0
+    with pytest.raises(PoleError):
+        bilinear_resolvent(np.zeros((8, 8)), e1, 0.0)
+
+
+def test_resolvent_misses_a_pole_its_vectors_do_not_see():
+    # S = diag(3, 2, 1): at z = 2 + 1e-14, e2 sees the pole and e1 and e3
+    # do not (at z = 2 itself S - z I is singular, and every Pi raises)
+    s = np.diag([3.0, 2.0, 1.0])
+    e = np.eye(3)
+    z = 2.0 + 1e-14
+    with pytest.raises(PoleError, match="collides"):
+        bilinear_resolvent(s, e[:, [0, 1]], z)
+    r = bilinear_resolvent(s, e[:, [0, 2]], z)
+    assert np.allclose(r, np.diag([1.0 / (3.0 - z), 1.0 / (1.0 - z)]), rtol=1e-15, atol=0)
 
 
 def test_trace_identity_with_esd_transform():
     sample = _identity_sample(30, 60, seed=9)
-    bundle = build_scm(sample)
+    s = build_scm(sample)
     z = 0.9 + 0.7j
-    total = sum(bilinear_resolvent(bundle, np.eye(30)[k], np.eye(30)[k], z)
-                for k in range(30)) / 30
-    esd_transform = np.mean(1.0 / (bundle.eigenvalues - z))
+    total = np.trace(bilinear_resolvent(s, np.eye(30), z)) / 30
+    esd_transform = np.mean(1.0 / (np.linalg.eigh(s)[0] - z))
     assert abs(total - esd_transform) < 1e-10
 
 
 def test_positive_imaginary_part_for_diagonal_forms():
     sample = _identity_sample(20, 40, seed=10)
-    bundle = build_scm(sample)
+    s = build_scm(sample)
     rng = np.random.default_rng(0)
     pi = rng.standard_normal(20)
     pi /= np.linalg.norm(pi)
-    val = bilinear_resolvent(bundle, pi, pi, 0.5 + 0.3j)
+    val = bilinear_resolvent(s, pi[:, None], 0.5 + 0.3j)[0, 0]
     assert val.imag > 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=st.integers(5, 80), ratio=st.floats(0.25, 4.0),
+       kind=st.sampled_from(RADIUS_KINDS), heavy=st.booleans(), k=st.integers(1, 4),
+       where=st.sampled_from(["complex", "above", "below"]),
+       u=st.floats(-0.5, 1.5), v=st.floats(0.05, 2.0), upper=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_bilinear_resolvent_matches_eigh_sum(p, ratio, kind, heavy, k, where, u, v,
+                                             upper, seed):
+    # Pi^T (S - z)^{-1} Pi from one solve equals sum_i q_a q_b / (lambda_i - z)
+    # over the full eigendecomposition, off the axis and on the real axis
+    # outside [lambda_min, lambda_max], for k random unit vectors
+    n = max(1, round(ratio * p))
+    spec = PopulationSpec(p=p, spikes=(), bulk="uniform", bulk_seed=99, toeplitz_rho=0.9)
+    sample = draw_sample(spec, _radius_law(kind, p, heavy), n, seed)
+    s = build_scm(sample)
+    lam, vecs = np.linalg.eigh(s)
+    width = max(1.0, lam[-1])
+    if where == "complex":
+        z = complex(lam[0] + u * (lam[-1] - lam[0]), (v if upper else -v) * width)
+    elif where == "above":
+        z = lam[-1] + v * width
+    else:
+        z = lam[0] - v * width
+    pis = np.random.default_rng(seed).standard_normal((p, k))
+    pis /= np.linalg.norm(pis, axis=0)
+    q = vecs.T @ pis
+    want = (q.T / (lam - z)) @ q
+    got = bilinear_resolvent(s, pis, z)
+    assert got.shape == (k, k)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # --- spiked determinant equation ---------------------------------------------
@@ -348,8 +389,7 @@ def _spike_determinant(sample, lam):
 
 def test_spike_determinant_vanishes_at_sample_spike():
     sample, spec = _spiked_sample(60, 120, seed=16)
-    bundle = build_scm(sample)
-    lam1 = bundle.eigenvalues[-1]
+    lam1 = np.linalg.eigh(build_scm(sample))[0][-1]
     assert _spike_determinant(sample, lam1) < 1e-6
 
 

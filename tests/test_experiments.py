@@ -182,16 +182,19 @@ def test_blas_pin_without_library_does_nothing(caller_blas_threads, monkeypatch)
 
 def test_pi_pairs_forms():
     cfg = spike_cfg(pi="e1")
-    (a, b), (c, d) = _pi_pairs(cfg, 40)
-    assert a[0] == 1.0 and np.array_equal(a, b) and np.array_equal(a, c)
+    (a, b), = _pi_pairs(cfg, 40)
+    assert a[0] == 1.0 and np.array_equal(a, b)
     cfg = spike_cfg(pi=["e1", "e2"])
-    (a, b), (c, d) = _pi_pairs(cfg, 40)
-    assert a[0] == 1.0 and b[1] == 1.0 and np.array_equal(a, c)
+    (a, b), = _pi_pairs(cfg, 40)
+    assert a[0] == 1.0 and b[1] == 1.0
     cfg = spike_cfg(pi=[["e1", "e1"], ["e2", "e2"]])
     (a, b), (c, d) = _pi_pairs(cfg, 40)
     assert np.array_equal(a, b) and c[1] == 1.0 and not np.array_equal(a, c)
+    # two equal forms are one
+    (a, b), = _pi_pairs(spike_cfg(pi=[["e1", "e2"], ["e1", "e2"]]), 40)
+    assert a[0] == 1.0 and b[1] == 1.0
     cfg = spike_cfg(pi="uniform")
-    (a, _), _ = _pi_pairs(cfg, 40)
+    (a, _), = _pi_pairs(cfg, 40)
     assert abs(np.linalg.norm(a) - 1) < 1e-12
     with pytest.raises(ConfigError):
         _pi_pairs(spike_cfg(pi="e99"), 40)
@@ -318,6 +321,35 @@ def test_bilinear_clt_two_forms():
     assert 0.5 < entry["var_ratio_m1"] < 2.0
 
 
+def test_bilinear_records_match_eigh_sum():
+    # each replicate reads its forms off one solve per z, with the distinct
+    # pi as columns; the records equal sqrt(p) (B - equivalent) with B the
+    # sum_i q_a q_b / (lambda_i - z) over the full eigendecomposition
+    from elliprmt.covariance import build_scm
+    from elliprmt.experiments import _bilinear_setup
+    from elliprmt.sampler import draw_sample, replicate_seed
+    cfg = ExperimentConfig.from_dict({
+        "kind": "bilinear-clt", "p": 30, "n": 45, "reps": 5, "seed": 9,
+        "radius": {"kind": "gamma", "nu_rule": "p^2"},
+        "population": {"spikes": [6.0], "bulk": "uniform"},
+        "z_points": [[1.5, 1.0], [0.7, -0.4]],
+        "pi": [["e1", "e2"], ["uniform", "e1"]],
+    })
+    res = run_experiment(cfg)
+    assert res.failures == 0
+    spec, gamma, law, *_, forms, _, _, deteqs = _bilinear_setup(cfg)
+    assert len(forms) == 2
+    for r in range(cfg.reps):
+        lam, vecs = np.linalg.eigh(build_scm(
+            draw_sample(spec, law, cfg.n, replicate_seed(cfg.seed, r)), gamma=gamma))
+        want = []
+        for z, des in zip(cfg.z_points, deteqs):
+            for (a, b), de in zip(forms, des):
+                m = np.sqrt(cfg.p) * (np.sum((vecs.T @ a) * (vecs.T @ b) / (lam - z)) - de)
+                want.extend([m.real, m.imag])
+        assert np.max(np.abs(res.records[r] - want)) <= 1e-12, r
+
+
 def test_goe_entries_single_spike():
     cfg = ExperimentConfig.from_dict({
         "kind": "goe-entries", "p": 60, "n": 120, "reps": 150, "seed": 8,
@@ -419,10 +451,9 @@ def test_vesd_records_match_eigh_statistic_at_any_jobs(tmp_path):
     pi = np.full(cfg.p, 1.0 / np.sqrt(cfg.p))
     assert records.shape == (cfg.reps, 3)
     for r in range(cfg.reps):
-        bundle = build_scm(draw_sample(spec, law, cfg.n, replicate_seed(cfg.seed, r)),
-                           gamma=gamma)
-        w = (bundle.eigenvectors.T @ pi) ** 2
-        lam = bundle.eigenvalues
+        lam, vecs = np.linalg.eigh(build_scm(
+            draw_sample(spec, law, cfg.n, replicate_seed(cfg.seed, r)), gamma=gamma))
+        w = (vecs.T @ pi) ** 2
         want = np.sqrt(cfg.p) * np.array([w @ lam - centering["x"],
                                           w @ lam ** 2 - centering["x2"],
                                           w.sum() - 1.0])
@@ -455,8 +486,8 @@ def test_spike_dist_summary_identical_at_any_jobs(tmp_path):
     cfg = ExperimentConfig.from_dict(raw)
     spec, _, law, _, gamma = _population(cfg)
     for r in range(cfg.reps):
-        ref = build_scm(draw_sample(spec, law, cfg.n, replicate_seed(cfg.seed, r)),
-                        gamma=gamma).eigenvalues[-1]
+        ref = np.linalg.eigh(build_scm(
+            draw_sample(spec, law, cfg.n, replicate_seed(cfg.seed, r)), gamma=gamma))[0][-1]
         assert abs(records[r] - ref) <= 1e-12 * ref, r
 
 

@@ -51,6 +51,15 @@ def test_near_coincident_rejected():
         kernels(C, D1, D1, 1 + 1j, 1 + 1j)
 
 
+def test_cov_m_coincident_points_rejected():
+    # the pair kernels divide by g1(z1) - g1(z2): cov_m refuses coincident
+    # points as kernels() does, and cov_m_diagonal takes them
+    pis = (np.eye(4)[0],) * 4
+    with pytest.raises(DomainError, match="cov_m_diagonal"):
+        cov_m(C, D1, H2_HEAVY, np.eye(4), pis, 1.5 + 1j, 1.5 + 1j)
+    assert np.isfinite(cov_m_diagonal(C, D1, H2_HEAVY, np.eye(4), pis, 1.5 + 1j))
+
+
 def test_d_kernel_bounded_away_from_one():
     pts = [complex(re, im) for re in (0.5, 1.5, 3.0) for im in (0.4, 1.0)]
     for i, z1 in enumerate(pts):
